@@ -11,11 +11,10 @@ floating point appears only in reports and Weyl averages.
 from .errors import (AdelicError, CertificateFailure, ConditionViolated,
                      FieldMismatch, InconsistentConstraints,
                      NegativeIndicator, NegativeVolume, PrimeSetMismatch,
-                     TrivialCharacter, UnsupportedCoordinate, ZeroGamma,
-                     ZeroInput)
+                     TrivialCharacter, UnsupportedCoordinate, ZeroGamma)
 from .exact import (ExactReal, PrimeSet, ceil_exact, crt_coset, factorize,
-                    floor_exact, is_prime, padic_abs, padic_fractional_part,
-                    padic_valuation, rational_residue, weil_product)
+                    is_prime, padic_abs, padic_fractional_part,
+                    padic_valuation, rational_residue)
 from .solenoid import (AdeleVector, LatticeElement, PhaseModOne,
                        SolenoidPoint, as_lattice, character_phase, is_minimal,
                        orbit, reduce_to_fundamental, rotate, weyl_sum,
@@ -26,10 +25,9 @@ from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
                   character_volume_identity, choose_n, construct_base,
                   construct_brs, construct_witness, count_coset_in_interval,
                   decompose_volume, discrepancy_series, enumerate_volumes,
-                  multiplicity, reduce_to_finite, restrict, special_gamma)
-from .cutproject import (CutPoint, CutProjectConfig, correspondence_check,
-                         generate_cutproject, project_internal,
-                         project_physical, window_companion,
+                  multiplicity, reduce_to_finite, restrict, special_gamma,
+                  witness_flags)
+from .cutproject import (CutPoint, correspondence_check, generate_cutproject,
                          window_multiplicity)
 
 __version__ = "0.1.0"
@@ -38,10 +36,10 @@ __all__ = [
     "AdelicError", "CertificateFailure", "ConditionViolated",
     "FieldMismatch", "InconsistentConstraints", "NegativeIndicator",
     "NegativeVolume", "PrimeSetMismatch", "TrivialCharacter",
-    "UnsupportedCoordinate", "ZeroGamma", "ZeroInput",
+    "UnsupportedCoordinate", "ZeroGamma",
     "ExactReal", "PrimeSet", "ceil_exact", "crt_coset", "factorize",
-    "floor_exact", "is_prime", "padic_abs", "padic_fractional_part",
-    "padic_valuation", "rational_residue", "weil_product",
+    "is_prime", "padic_abs", "padic_fractional_part",
+    "padic_valuation", "rational_residue",
     "AdeleVector", "LatticeElement", "PhaseModOne", "SolenoidPoint",
     "as_lattice", "character_phase", "is_minimal", "orbit",
     "reduce_to_fundamental", "rotate", "weyl_sum", "zero_point",
@@ -52,8 +50,8 @@ __all__ = [
     "construct_brs", "construct_witness", "count_coset_in_interval",
     "decompose_volume", "discrepancy_series", "enumerate_volumes",
     "multiplicity", "reduce_to_finite", "restrict", "special_gamma",
-    "CutPoint", "CutProjectConfig", "correspondence_check",
-    "generate_cutproject", "project_internal", "project_physical",
-    "window_companion", "window_multiplicity",
+    "witness_flags",
+    "CutPoint", "correspondence_check", "generate_cutproject",
+    "window_multiplicity",
     "__version__",
 ]

@@ -129,12 +129,6 @@ class WeightedBoxSet:
         if self.claimed_volume < 0:
             raise NegativeVolume(f"claimed volume {self.claimed_volume}")
 
-    @property
-    def primes(self) -> PrimeSet:
-        for box, _ in self.terms:
-            return box.primes
-        return PrimeSet()
-
     def volume_consistent(self) -> bool:
         total = ExactReal(0)
         for box, w in self.terms:
@@ -165,16 +159,13 @@ class BRSConstruction:
     """Full witness of one construction run.
 
     gamma is the reduced index +-(p_1*...*p_k)**(-ell); the target index
-    gamma_input = copies * gamma.  lam = lam1/lam2 drives the box shape,
-    box_scale is the integer M with prod_p |lam1 + lam2*alpha_p|_p = 1/M,
-    and surplus counts the full-domain boxes added (negatively if the
-    base boxes overshoot the target volume).
+    result.source_gamma = copies * gamma.  lam = lam1/lam2 drives the box
+    shape, box_scale is the integer M with
+    prod_p |lam1 + lam2*alpha_p|_p = 1/M, and surplus counts the
+    full-domain boxes added (negatively if the base boxes overshoot the
+    target volume).
     """
 
-    alpha: AdeleVector
-    gamma_input: Fraction
-    n_input: int
-    xi_input: ExactReal
     sign: int
     ell: int
     gamma: Fraction
@@ -315,15 +306,11 @@ def construct_base(alpha: AdeleVector, sign: int, ell: int,
     box = AdelicBox(ExactReal(0), real_len, tuple(balls))
 
     # exact consistency of the two volume formulas
-    window = abs(lam + alpha.real)
-    for p, ap in alpha.parts:
-        window = window * padic_abs(lam + ap, p)
-    if not window * box_scale == xi:
+    if not _window(alpha, lam) * box_scale == xi:
         raise ConditionViolated("volume identity failed")  # pragma: no cover
 
     result = WeightedBoxSet(((box, 1),), xi, 0, g, n)
     return BRSConstruction(
-        alpha=alpha, gamma_input=g, n_input=n, xi_input=xi,
         sign=sign, ell=ell, gamma=g, n=n, lam1=lam1, lam2=lam2, lam=lam,
         box_scale=box_scale, xi=xi, base_box=box, copies=1, surplus=0,
         result=result)
@@ -406,7 +393,6 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
                 f"floor(|B'|) = {certificate} < {-surplus}")
     result = WeightedBoxSet(tuple(terms), xi_target, certificate, g, n)
     return BRSConstruction(
-        alpha=alpha, gamma_input=g, n_input=n, xi_input=xi_target,
         sign=sign, ell=ell, gamma=base.gamma, n=n0, lam1=base.lam1,
         lam2=base.lam2, lam=base.lam, box_scale=base.box_scale, xi=base.xi,
         base_box=base.base_box, copies=copies, surplus=surplus, result=result)
@@ -506,6 +492,35 @@ def character_volume_identity(boxset: WeightedBoxSet,
     for p, ap in alpha.parts:
         z = z - padic_fractional_part(g * ap, p)
     return z.is_integer()
+
+
+def _window(alpha: AdeleVector, lam: Fraction) -> ExactReal:
+    """|lam + alpha_real| * prod_p |lam + alpha_p|_p, exact."""
+    window = abs(lam + alpha.real)
+    for p, ap in alpha.parts:
+        window = window * padic_abs(lam + ap, p)
+    return window
+
+
+def witness_flags(alpha: AdeleVector, boxset: WeightedBoxSet,
+                  witness: BRSConstruction | None = None) -> dict[str, bool]:
+    """The exact identities a construction must satisfy, by name.
+
+    Every box set is checked for volume consistency, the character
+    volume identity and its nonnegativity certificate; with a witness
+    (gamma != 0) the window identity M * |lam + alpha_real| *
+    prod_p |lam + alpha_p|_p = xi of the base box is checked too.
+    """
+    flags = {
+        "volume_consistent": boxset.volume_consistent(),
+        "character_identity": character_volume_identity(boxset, alpha),
+        "certificate_ok": boxset.certificate >= sum(
+            -w for _, w in boxset.terms if w < 0),
+    }
+    if witness is not None:
+        flags["window_identity"] = (
+            _window(alpha, witness.lam) * witness.box_scale == witness.xi)
+    return flags
 
 
 # --- reduction from infinite prime sets ------------------------------------

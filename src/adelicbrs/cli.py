@@ -7,13 +7,14 @@ machine-readable verdict.json into --out, and exits 0 (all checks pass),
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
-matplotlib renderings and are not part of any verdict.
+plain-SVG files and are not part of any verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,11 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import brs, cutproject
+from . import cutproject
 from .brs import (AdelicBox, PAdicBall, SparseAdele, WeightedBoxSet,
-                  character_volume_identity, construct_brs, construct_witness,
-                  discrepancy_series, enumerate_volumes, reduce_to_finite,
-                  restrict)
+                  construct_brs, construct_witness, discrepancy_series,
+                  enumerate_volumes, reduce_to_finite, restrict,
+                  witness_flags)
 from .errors import (AdelicError, CertificateFailure, ConditionViolated,
                      InconsistentConstraints, NegativeIndicator,
                      NegativeVolume, TrivialCharacter, UnsupportedCoordinate,
@@ -67,11 +68,22 @@ def parse_rational(value: Any) -> Fraction:
     raise ConfigError(f"expected a rational, got {value!r}")
 
 
+def parse_int(value: Any, what: str, minimum: int | None = None) -> int:
+    """A JSON integer, never a bool, float or string, at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
 def parse_exact_real(value: Any) -> ExactReal:
     if isinstance(value, dict):
+        a, b, c, d = (parse_int(value.get(k, default), f"exact real {k!r}")
+                      for k, default in (("a", 0), ("b", 0), ("c", 1),
+                                         ("d", 0)))
         try:
-            return ExactReal(int(value.get("a", 0)), int(value.get("b", 0)),
-                             int(value.get("c", 1)), int(value.get("d", 0)))
+            return ExactReal(a, b, c, d)
         except (ValueError, ZeroDivisionError, TypeError) as e:
             raise ConfigError(f"bad exact real {value!r}: {e}") from None
     return ExactReal.from_rational(parse_rational(value))
@@ -96,7 +108,6 @@ def _parse_prime_map(obj: Any, what: str) -> dict[int, Fraction]:
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
     alpha: AdeleVector
     gamma: Fraction
     n: int
@@ -133,19 +144,16 @@ def load_config(data: dict) -> ExperimentConfig:
 
     checkpoints = data.get("checkpoints", DEFAULT_CHECKPOINTS)
     if (not isinstance(checkpoints, list) or not checkpoints
-            or any(not isinstance(c, int) or c < 1 for c in checkpoints)
+            or any(isinstance(c, bool) or not isinstance(c, int) or c < 1
+                   for c in checkpoints)
             or sorted(set(checkpoints)) != checkpoints):
         raise ConfigError("checkpoints must be strictly increasing positive "
                           "integers")
 
-    n = data.get("n", 0)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError("n must be an integer")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    bound = data.get("bound", 3)
-    cut_n = data.get("cutproject_n", 1000)
+    n = parse_int(data.get("n", 0), "n")
+    seed = parse_int(data.get("seed", 0), "seed")
+    bound = parse_int(data.get("bound", 3), "bound", 0)
+    cut_n = parse_int(data.get("cutproject_n", 1000), "cutproject_n", 1)
 
     control_box = None
     if data.get("control_box") is not None:
@@ -157,6 +165,8 @@ def load_config(data: dict) -> ExperimentConfig:
             balls.setdefault(p, Fraction(0))
         if sorted(balls) != list(alpha.primes):
             raise ConfigError("control_box.balls must use alpha's primes")
+        if any(e.denominator != 1 for e in balls.values()):
+            raise ConfigError("control_box.balls exponents must be integers")
         try:
             control_box = AdelicBox(
                 parse_exact_real(cb.get("real_lo", 0)),
@@ -167,7 +177,7 @@ def load_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"bad control_box: {e}") from None
 
     return ExperimentConfig(
-        raw=data, alpha=alpha, gamma=gamma, n=n, checkpoints=list(checkpoints),
+        alpha=alpha, gamma=gamma, n=n, checkpoints=list(checkpoints),
         x0_real=parse_exact_real(data.get("x0_real", 0)),
         x0_padic=_parse_prime_map(data.get("x0_padic"), "x0_padic"),
         seed=seed, bound=bound, cutproject_n=cut_n,
@@ -221,68 +231,54 @@ def _sample_checkpoints(checkpoints: list[int]) -> list[int]:
     return sorted(marks)
 
 
-def _plot_discrepancy(path: Path, records, checkpoints: set[int]) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:  # pragma: no cover
-        print("matplotlib unavailable; skipping figure", file=sys.stderr)
-        return
-    ns = [r.n for r in records]
-    ds = [r.value.to_float() for r in records]
-    sups = [r.running_sup.to_float() for r in records]
-    fig, ax = plt.subplots(figsize=(7, 4.2))
-    ax.plot(ns, ds, lw=0.9, label="D_N")
-    ax.plot(ns, sups, lw=1.4, ls="--", label="running sup |D_M|")
-    marks = [r for r in records if r.n in checkpoints]
-    ax.plot([r.n for r in marks], [r.value.to_float() for r in marks],
-            "o", ms=4, label="checkpoints")
-    ax.set_xscale("log")
-    ax.set_xlabel("N")
-    ax.set_ylabel("discrepancy")
-    ax.legend(frameon=False, fontsize=9)
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Date": None})
-    plt.close(fig)
+_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
-def _plot_weyl(path: Path, rows: list[tuple[int, float, float]]) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:  # pragma: no cover
-        print("matplotlib unavailable; skipping figure", file=sys.stderr)
-        return
-    ns = [n for n, _, _ in rows]
-    fig, ax = plt.subplots(figsize=(6.4, 4.2))
-    ax.loglog(ns, [a for _, a, _ in rows], "o-", label="|S_N|")
-    ax.loglog(ns, [b for _, _, b in rows], "s--", label="1/(2N||theta||)")
-    ax.set_xlabel("N")
-    ax.legend(frameon=False, fontsize=9)
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Date": None})
-    plt.close(fig)
+def write_svg(path: Path, series, logx: bool = False,
+              logy: bool = False) -> None:
+    """Diagnostic figure as plain SVG text; the same data always gives
+    the same bytes.
 
+    series is a list of (label, kind, points): kind "line" draws a
+    polyline and "dots" draws circles; points are (x, y) floats.  A log
+    axis drops points that are not positive on it.
+    """
+    def tf(v, log):
+        return math.log10(v) if log else v
 
-def _plot_cutpoints(path: Path, points) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:  # pragma: no cover
-        print("matplotlib unavailable; skipping figure", file=sys.stderr)
-        return
-    fig, ax = plt.subplots(figsize=(7, 3.2))
-    xs = [float(pt.gamma1) for pt in points]
-    ys = [pt.multiplicity for pt in points]
-    ax.vlines(xs, 0, ys, lw=0.8)
-    ax.set_xlabel("gamma_1")
-    ax.set_ylabel("multiplicity")
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Date": None})
-    plt.close(fig)
+    data = [(label, kind, [(tf(x, logx), tf(y, logy)) for x, y in points
+                           if (x > 0 or not logx) and (y > 0 or not logy)])
+            for label, kind, points in series]
+    xs = [x for *_, pts in data for x, _ in pts] or [0.0]
+    ys = [y for *_, pts in data for _, y in pts] or [0.0]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    w, h, pad = 640, 400, 48
+    sx = (w - 2 * pad) / ((x1 - x0) or 1)
+    sy = (h - 2 * pad) / ((y1 - y0) or 1)
+
+    def at(x, y):
+        return f"{pad + (x - x0) * sx:.2f}", f"{h - pad - (y - y0) * sy:.2f}"
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+           f'height="{h}" font-family="sans-serif" font-size="11">',
+           f'<rect x="{pad}" y="{pad}" width="{w - 2 * pad}" '
+           f'height="{h - 2 * pad}" fill="none" stroke="#888"/>',
+           f'<text x="{pad}" y="{h - 16}">'
+           f'x{" (log10)" * logx}: {x0:.6g} .. {x1:.6g}   '
+           f'y{" (log10)" * logy}: {y0:.6g} .. {y1:.6g}</text>']
+    for i, (label, kind, pts) in enumerate(data):
+        color = _SVG_COLORS[i % len(_SVG_COLORS)]
+        if kind == "line":
+            coords = " ".join(",".join(at(x, y)) for x, y in pts)
+            out.append(f'<polyline fill="none" stroke="{color}" '
+                       f'points="{coords}"/>')
+        else:
+            out.extend(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>'
+                       for cx, cy in (at(x, y) for x, y in pts))
+        out.append(f'<text x="{pad + 8}" y="{pad + 16 + 14 * i}" '
+                   f'fill="{color}">{label}</text>')
+    out.append("</svg>")
+    write_atomic(path, "\n".join(out) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -302,46 +298,28 @@ def cmd_volumes(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 
 
 def _construction_verdict(cfg: ExperimentConfig) -> tuple[WeightedBoxSet, dict]:
+    witness = None
     if cfg.gamma == 0:
         boxset = construct_brs(cfg.alpha, cfg.gamma, cfg.n)
-        flags = {
-            "volume_consistent": boxset.volume_consistent(),
-            "character_identity": character_volume_identity(boxset, cfg.alpha),
-            "certificate_ok": True,
-        }
+        info: dict = {}
+    else:
+        witness = construct_witness(cfg.alpha, cfg.gamma, cfg.n)
+        boxset = witness.result
         info = {
-            "gamma": str(cfg.gamma), "n": cfg.n,
-            "claimed_volume_exact": boxset.claimed_volume.exact_str(),
-            "claimed_volume_decimal": boxset.claimed_volume.decimal_str(),
-            "certificate": boxset.certificate,
-            "flags": flags,
+            "sign": witness.sign, "ell": witness.ell,
+            "gamma_reduced": str(witness.gamma), "n_reduced": witness.n,
+            "lam1": str(witness.lam1), "lam2": str(witness.lam2),
+            "lam": str(witness.lam), "box_scale": witness.box_scale,
+            "copies": witness.copies, "surplus": witness.surplus,
+            "xi_reduced_exact": witness.xi.exact_str(),
         }
-        return boxset, info
-    witness = construct_witness(cfg.alpha, cfg.gamma, cfg.n)
-    boxset = witness.result
-    window = abs(Fraction(witness.lam) + cfg.alpha.real)
-    for p, ap in cfg.alpha.parts:
-        window = window * brs.padic_abs(witness.lam + ap, p)
-    flags = {
-        "window_identity": window * witness.box_scale == witness.xi,
-        "volume_consistent": boxset.volume_consistent(),
-        "character_identity": character_volume_identity(boxset, cfg.alpha),
-        "certificate_ok": boxset.certificate >= sum(
-            -w for _, w in boxset.terms if w < 0),
-    }
-    info = {
-        "gamma": str(witness.gamma_input), "n": witness.n_input,
-        "sign": witness.sign, "ell": witness.ell,
-        "gamma_reduced": str(witness.gamma), "n_reduced": witness.n,
-        "lam1": str(witness.lam1), "lam2": str(witness.lam2),
-        "lam": str(witness.lam), "box_scale": witness.box_scale,
-        "copies": witness.copies, "surplus": witness.surplus,
-        "xi_reduced_exact": witness.xi.exact_str(),
+    info.update({
+        "gamma": str(boxset.source_gamma), "n": boxset.source_n,
         "claimed_volume_exact": boxset.claimed_volume.exact_str(),
         "claimed_volume_decimal": boxset.claimed_volume.decimal_str(),
         "certificate": boxset.certificate,
-        "flags": flags,
-    }
+        "flags": witness_flags(cfg.alpha, boxset, witness),
+    })
     return boxset, info
 
 
@@ -402,7 +380,13 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     }
     write_verdict(outdir, verdict)
     if svg:
-        _plot_discrepancy(outdir / "discrepancy.svg", summary.records, marks)
+        write_svg(outdir / "discrepancy.svg", [
+            ("D_N", "line",
+             [(r.n, r.value.to_float()) for r in summary.records]),
+            ("running sup |D_M|", "line",
+             [(r.n, r.running_sup.to_float()) for r in summary.records]),
+            ("checkpoints", "dots",
+             [(r.n, r.value.to_float()) for r in records])], logx=True)
     return EXIT_PASS if (plateau and identities_ok) else EXIT_PROPERTY_FAILURE
 
 
@@ -421,7 +405,9 @@ def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
         "flags": {"correspondence": agrees, **info.get("flags", {})},
     })
     if svg:
-        _plot_cutpoints(outdir / "cutpoints.svg", points)
+        write_svg(outdir / "cutpoints.svg", [
+            ("multiplicity", "dots",
+             [(float(pt.gamma1), pt.multiplicity) for pt in points])])
     return EXIT_PASS if agrees else EXIT_PROPERTY_FAILURE
 
 
@@ -449,7 +435,10 @@ def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
         "pass": all_ok, "flags": {"bound_satisfied": all_ok},
     })
     if svg:
-        _plot_weyl(outdir / "weyl.svg", plot_rows)
+        write_svg(outdir / "weyl.svg", [
+            ("|S_N|", "line", [(n, a) for n, a, _ in plot_rows]),
+            ("1/(2N||theta||)", "line", [(n, b) for n, _, b in plot_rows])],
+            logx=True, logy=True)
     return EXIT_PASS if all_ok else EXIT_PROPERTY_FAILURE
 
 
@@ -462,7 +451,10 @@ _COMMANDS = {
 }
 
 
-def cmd_batch(data: dict, outdir: Path, svg: bool) -> int:
+def cmd_batch(data: dict, outdir: Path, svg: bool,
+              overrides: dict) -> int:
+    """Run every experiment, each with the command-line overrides
+    applied to its own config."""
     experiments = data.get("experiments")
     if not isinstance(experiments, list) or not experiments:
         raise ConfigError("batch config needs a nonempty experiments list")
@@ -478,7 +470,8 @@ def cmd_batch(data: dict, outdir: Path, svg: bool) -> int:
         sub = entry.get("config")
         if not isinstance(sub, dict):
             raise ConfigError(f"experiment {name}: missing config object")
-        code = _run_single(command, sub, outdir / str(name), svg)
+        code = _run_single(command, {**sub, **overrides},
+                           outdir / str(name), svg)
         results[str(name)] = {"command": command, "exit_code": code,
                               "pass": code == EXIT_PASS}
         worst = max(worst, code)
@@ -554,30 +547,31 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
+    overrides: dict[str, Any] = {}
     if args.checkpoints is not None:
         try:
-            data["checkpoints"] = [int(tok) for tok in
-                                   args.checkpoints.split(",") if tok]
+            overrides["checkpoints"] = [int(tok) for tok in
+                                        args.checkpoints.split(",") if tok]
         except ValueError:
             print("config error: bad --checkpoints", file=sys.stderr)
             return EXIT_CONFIG
     if args.seed is not None:
-        data["seed"] = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "bound", None) is not None:
-        data["bound"] = args.bound
+        overrides["bound"] = args.bound
     if getattr(args, "count", None) is not None:
-        data["cutproject_n"] = args.count
+        overrides["cutproject_n"] = args.count
 
     outdir = Path(args.out or data.get("out", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "batch":
         try:
-            return cmd_batch(data, outdir, args.svg)
+            return cmd_batch(data, outdir, args.svg, overrides)
         except ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-    return _run_single(args.command, data, outdir, args.svg)
+    return _run_single(args.command, {**data, **overrides}, outdir, args.svg)
 
 
 if __name__ == "__main__":

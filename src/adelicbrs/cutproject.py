@@ -1,11 +1,11 @@
 """Cut-and-project model for the box sets built in :mod:`.brs`.
 
 The ambient space is a pair of adelic vectors (x, y).  The physical
-line is E = {(x, -x*alpha)}, the internal line is F = {(0, y)}; the two
-projections below split every pair accordingly.  Selecting the lattice
-pairs (gamma1, gamma2) whose internal part gamma2 + gamma1*alpha lands
-inside a window box reproduces, with multiplicity, exactly the lift
-counts that the brs module computes for the projected set.
+line is E = {(x, -x*alpha)}, the internal line is F = {(0, y)}.
+Selecting the lattice pairs (gamma1, gamma2) whose internal part
+gamma2 + gamma1*alpha lands inside a window box reproduces, with
+multiplicity, exactly the lift counts that the brs module computes for
+the projected set.
 
 The counting here is deliberately implemented on a different code path
 from brs.box_lift_count (pieced-together p-adic fractional parts and a
@@ -21,58 +21,8 @@ from typing import Iterable
 
 from . import brs
 from .brs import AdelicBox, WeightedBoxSet
-from .errors import ConditionViolated
-from .exact import ExactReal, RationalLike, padic_fractional_part
-from .solenoid import AdeleVector, orbit, reduce_to_fundamental, zero_point
-
-Pair = tuple[AdeleVector, AdeleVector]
-
-
-def project_physical(pair: Pair, alpha: AdeleVector) -> Pair:
-    """Projection onto E = {(x, -x*alpha)} along F."""
-    x, _ = pair
-    return (x, -(x.mul_pointwise(alpha)))
-
-
-def project_internal(pair: Pair, alpha: AdeleVector) -> Pair:
-    """Projection onto F = {(0, y)} along E."""
-    x, y = pair
-    zero = AdeleVector(x.primes, ExactReal(0))
-    return (zero, y + x.mul_pointwise(alpha))
-
-
-@dataclass(frozen=True, slots=True)
-class CutProjectConfig:
-    """Strip data for a fixed rational lam: the strip is the window
-    translated along E, and beta = 1/(lam + alpha) componentwise maps
-    internal displacements back to strip coordinates."""
-
-    alpha: AdeleVector
-    lam: Fraction
-    beta: AdeleVector
-
-    def __init__(self, alpha: AdeleVector, lam: RationalLike):
-        lam = Fraction(lam)
-        parts = {}
-        for p, ap in alpha.parts:
-            if lam + ap == 0:
-                raise ConditionViolated(f"lambda = -alpha_{p}")
-            parts[p] = 1 / (lam + ap)
-        if alpha.real.is_rational() and alpha.real.as_fraction() == -lam:
-            raise ConditionViolated("lambda = -alpha_real")
-        beta = AdeleVector(alpha.primes, (lam + alpha.real).inverse(), parts)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "beta", beta)
-
-
-def window_companion(config: CutProjectConfig, sigma: RationalLike) -> Fraction:
-    """The unique lattice rational sigma' such that sigma' + sigma*beta
-    lies in the fundamental domain, i.e. such that the lattice pair
-    (sigma', sigma'*lam) falls inside the strip shifted by (0, sigma)."""
-    v = config.beta.scale(Fraction(sigma))
-    _, g = reduce_to_fundamental(v)
-    return -g.value
+from .exact import RationalLike, padic_fractional_part
+from .solenoid import AdeleVector, orbit, zero_point
 
 
 def window_multiplicity(window: AdelicBox, alpha: AdeleVector,

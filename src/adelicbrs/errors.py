@@ -10,10 +10,6 @@ class AdelicError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ZeroInput(AdelicError, ZeroDivisionError):
-    """An operation that needs a nonzero rational received zero."""
-
-
 class FieldMismatch(AdelicError, TypeError):
     """Two exact reals live in different quadratic fields."""
 

@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import FieldMismatch, InconsistentConstraints, ZeroInput
+from .errors import FieldMismatch, InconsistentConstraints
 
 RationalLike = Union[int, Fraction]
 
@@ -159,21 +159,6 @@ def padic_fractional_part(x: RationalLike, p: int) -> Fraction:
     m = x.denominator // q
     t = x.numerator * pow(m, -1, q) % q
     return Fraction(t, q)
-
-
-def weil_product(r: RationalLike, primes: Iterable[int]) -> Fraction:
-    """|r| * prod_{p in primes} |r|_p for a nonzero rational r.
-
-    When ``primes`` covers every prime dividing the numerator or the
-    denominator of r, the product telescopes to exactly 1.
-    """
-    r = Fraction(r)
-    if r == 0:
-        raise ZeroInput("weil_product of 0")
-    out = abs(r)
-    for p in primes:
-        out *= padic_abs(r, p)
-    return out
 
 
 # --- coset solving -------------------------------------------------------
@@ -524,13 +509,6 @@ class ExactReal:
         return f"ExactReal({self.exact_str()})"
 
     __str__ = __repr__
-
-
-def floor_exact(x) -> int:
-    """Exact floor of an int, Fraction, or ExactReal."""
-    if isinstance(x, ExactReal):
-        return x.floor()
-    return math.floor(Fraction(x))
 
 
 def ceil_exact(x) -> int:

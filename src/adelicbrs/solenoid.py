@@ -111,13 +111,6 @@ class AdeleVector:
         return AdeleVector(self.primes, self.real * k,
                            {p: x * k for p, x in self.parts})
 
-    def mul_pointwise(self, other: "AdeleVector") -> "AdeleVector":
-        """Coordinatewise product; used by the cut-and-project maps."""
-        self._check(other)
-        return AdeleVector(
-            self.primes, self.real * other.real,
-            {p: x * y for (p, x), (_, y) in zip(self.parts, other.parts)})
-
     def shift_diagonal(self, gamma: RationalLike) -> "AdeleVector":
         g = Fraction(gamma)
         return AdeleVector(self.primes, self.real + g,

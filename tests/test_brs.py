@@ -13,7 +13,7 @@ from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
                        count_coset_in_interval, decompose_volume,
                        discrepancy_series, enumerate_volumes, multiplicity,
                        padic_abs, padic_fractional_part, reduce_to_finite,
-                       restrict, special_gamma, zero_point)
+                       restrict, special_gamma, witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
                       random_gamma)
 
@@ -298,6 +298,7 @@ def test_construct_witness_seeded_properties():
             window = window * padic_abs(Fraction(w.lam) + ap, p)
         assert window * w.box_scale == w.xi
         assert w.box_scale >= 1
+        assert all(witness_flags(alpha, w.result, w).values())
         done += 1
 
 

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from adelicbrs.cli import main
@@ -76,7 +77,7 @@ def test_infeasible_negative_volume_exits_2(tmp_path):
     assert code == 2
 
 
-def test_config_errors_exit_3(tmp_path):
+def test_config_errors_exit_3(tmp_path, capsys):
     code, _ = run(tmp_path, "construct", {"alpha_padic": {}})
     assert code == 3
     code, _ = run(tmp_path, "construct", dict(WORKED, gamma="1/0"))
@@ -92,6 +93,22 @@ def test_config_errors_exit_3(tmp_path):
     assert code == 3
     missing = main(["construct", "--config", str(tmp_path / "nope.json")])
     assert missing == 3
+    # values that would otherwise be truncated, accepted or crash
+    control = {"real_lo": "0", "real_hi": "1/2", "balls": {"2": "1/2"}}
+    for command, config in [
+            ("construct", dict(WORKED, alpha_real={"d": 2, "a": 1.5,
+                                                   "b": 1, "c": 1})),
+            ("verify", dict(WORKED, control_box=control)),
+            ("verify", dict(WORKED, checkpoints=[True])),
+            ("volumes", dict(WORKED, bound="x")),
+            ("volumes", dict(WORKED, bound=-1)),
+            ("cutproject", dict(WORKED, cutproject_n="x")),
+            ("cutproject", dict(WORKED, cutproject_n=-5))]:
+        capsys.readouterr()
+        code, _ = run(tmp_path, command, config)
+        err = capsys.readouterr().err
+        assert code == 3, (command, config)
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_volumes_csv(tmp_path):
@@ -153,6 +170,20 @@ def test_batch_fans_out_and_aggregates(tmp_path):
     assert (out / "good" / "boxes.txt").exists()
 
 
+def test_batch_applies_checkpoint_and_seed_overrides(tmp_path):
+    config = {"experiments": [
+        {"name": "v", "command": "verify", "config": WORKED}]}
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["batch", "--config", str(cfg), "--out", str(out),
+                 "--checkpoints", "10,60", "--seed", "7"])
+    assert code == 0
+    v = read_verdict(out / "v")
+    assert [c["N"] for c in v["checkpoints"]] == [10, 60]
+    assert v["seed"] == 7
+
+
 def test_checkpoint_and_seed_overrides(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(WORKED), encoding="utf-8")
@@ -176,16 +207,23 @@ def test_byte_identical_outputs(tmp_path):
 
 
 def test_svg_rendering(tmp_path):
-    code, out = run(tmp_path, "verify", WORKED, "--svg")
-    assert code == 0
-    assert (out / "discrepancy.svg").exists()
-    code, out2 = run(tmp_path / "w", "weyl", WORKED, "--svg")
-    assert code == 0
-    assert (out2 / "weyl.svg").exists()
+    for command, figure, config in [
+            ("verify", "discrepancy.svg", WORKED),
+            ("weyl", "weyl.svg", WORKED),
+            ("cutproject", "cutpoints.svg", dict(WORKED, cutproject_n=40))]:
+        code, out = run(tmp_path / command / "a", command, config, "--svg")
+        assert code == 0
+        svg = (out / figure).read_bytes()
+        root = ET.fromstring(svg)
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root) > 2
+        # the same data gives the same bytes
+        _, out2 = run(tmp_path / command / "b", command, config, "--svg")
+        assert (out2 / figure).read_bytes() == svg
     # the CSV is unchanged by figure rendering
     plain_code, out3 = run(tmp_path / "p", "verify", WORKED)
-    assert (out / "discrepancy.csv").read_bytes() == \
-        (out3 / "discrepancy.csv").read_bytes()
+    assert (tmp_path / "verify" / "a" / "out" / "discrepancy.csv"
+            ).read_bytes() == (out3 / "discrepancy.csv").read_bytes()
 
 
 def test_infinite_q_config(tmp_path):

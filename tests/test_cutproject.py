@@ -1,87 +1,16 @@
 from fractions import Fraction
 from random import Random
 
-import pytest
-
-from adelicbrs import (AdelicBox, AdeleVector, ConditionViolated,
-                       CutProjectConfig, ExactReal, PAdicBall, PrimeSet,
-                       SolenoidPoint, box_lift_count, choose_n,
+from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
+                       PrimeSet, box_lift_count, choose_n,
                        construct_witness, correspondence_check,
-                       generate_cutproject, orbit, project_internal,
-                       project_physical, window_companion,
-                       window_multiplicity, zero_point)
+                       generate_cutproject, orbit, window_multiplicity,
+                       zero_point)
 from conftest import lift_count_oracle, random_alpha, random_gamma
 
 P2 = PrimeSet([2])
 SQRT2 = ExactReal.sqrt(2)
 ALPHA = AdeleVector(P2, SQRT2, {2: Fraction(1, 2)})
-
-
-def random_vector(rng, alpha):
-    parts = {p: Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2))
-             for p in alpha.primes}
-    real = alpha.real * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) \
-        + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return AdeleVector(alpha.primes, real, parts)
-
-
-def test_projections_split_every_pair():
-    rng = Random(41)
-    for _ in range(60):
-        alpha = random_alpha(rng)
-        x = random_vector(rng, alpha)
-        y = random_vector(rng, alpha)
-        phys = project_physical((x, y), alpha)
-        intr = project_internal((x, y), alpha)
-        # the two parts recombine to the original pair
-        assert phys[0] + intr[0] == x
-        assert phys[1] + intr[1] == y
-        # physical part lies on E, internal part on F
-        assert phys[1] == -(phys[0].mul_pointwise(alpha))
-        assert intr[0] == AdeleVector(alpha.primes, ExactReal(0))
-        # both are idempotent
-        again = project_physical(phys, alpha)
-        assert again[0] == phys[0] and again[1] == phys[1]
-        again = project_internal(intr, alpha)
-        assert again[0] == intr[0] and again[1] == intr[1]
-
-
-def test_config_inverts_componentwise():
-    cfg = CutProjectConfig(ALPHA, Fraction(-5, 2))
-    prod_real = cfg.beta.real * (ALPHA.real + Fraction(-5, 2))
-    assert prod_real == 1
-    assert cfg.beta.part(2) * (ALPHA.part(2) + Fraction(-5, 2)) == 1
-    assert cfg.beta.part(2) == Fraction(-1, 2)
-
-
-def test_config_rejects_degenerate_lambda():
-    with pytest.raises(ConditionViolated):
-        CutProjectConfig(ALPHA, Fraction(-1, 2))
-    rational = AdeleVector(P2, ExactReal(3, 0, 2), {2: Fraction(1, 2)})
-    with pytest.raises(ConditionViolated):
-        CutProjectConfig(rational, Fraction(-3, 2))
-
-
-def test_window_companion_worked_value():
-    cfg = CutProjectConfig(ALPHA, Fraction(-5, 2))
-    assert window_companion(cfg, Fraction(1)) == Fraction(3, 2)
-
-
-def test_window_companion_lands_in_fundamental_domain():
-    rng = Random(42)
-    for _ in range(80):
-        alpha = random_alpha(rng)
-        lam = random_gamma(rng, alpha.primes)
-        try:
-            cfg = CutProjectConfig(alpha, lam)
-        except ConditionViolated:
-            continue
-        sigma = random_gamma(rng, alpha.primes)
-        comp = window_companion(cfg, sigma)
-        shifted = cfg.beta.scale(sigma).shift_diagonal(comp)
-        # must construct without complaint: real in [0,1), parts integral
-        SolenoidPoint(alpha.primes, shifted.real,
-                      dict(shifted.parts))
 
 
 def test_window_multiplicity_against_enumeration():

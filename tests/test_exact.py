@@ -5,10 +5,9 @@ from random import Random
 import pytest
 
 from adelicbrs import (ExactReal, FieldMismatch, InconsistentConstraints,
-                       PrimeSet, ZeroInput, ceil_exact, crt_coset, factorize,
-                       floor_exact, is_prime, padic_abs,
-                       padic_fractional_part, padic_valuation,
-                       rational_residue, weil_product)
+                       PrimeSet, ceil_exact, crt_coset, factorize,
+                       is_prime, padic_abs, padic_fractional_part,
+                       padic_valuation, rational_residue)
 from conftest import coset_oracle, frac_part_oracle, val
 
 
@@ -116,31 +115,6 @@ def test_fractional_parts_sum_to_integer_defect():
         for p in (2, 3, 5):
             y -= padic_fractional_part(x, p)
         assert y.denominator == 1
-
-
-def test_weil_product():
-    assert weil_product(Fraction(3, 4), PrimeSet([2, 3])) == 1
-    assert weil_product(Fraction(-10), PrimeSet([2, 5])) == 1
-    with pytest.raises(ZeroInput):
-        weil_product(Fraction(0), PrimeSet([2]))
-    rng = Random(15)
-    primes = PrimeSet([2, 3, 5, 7])
-    for _ in range(200):
-        x = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        expected = abs(x)
-        for p in primes:
-            expected *= Fraction(p) ** (-val(x, p))
-        assert weil_product(x, primes) == expected
-        # product formula: equals 1 once the prime set covers the support
-        sign = rng.choice((1, -1))
-        y = sign * Fraction(2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 3),
-                            5 ** rng.randint(0, 3) * 7 ** rng.randint(0, 2))
-        assert weil_product(y, primes) == 1
-
-
-def test_weil_product_needs_full_support():
-    # missing the prime 7 leaves a stray factor
-    assert weil_product(Fraction(1, 7), PrimeSet([2, 3])) != 1
 
 
 def test_crt_coset_single_and_pair():
@@ -293,9 +267,8 @@ def test_exact_real_floor_ceil_mod1_seeded():
 
 
 def test_floor_ceil_module_functions():
-    assert floor_exact(Fraction(7, 2)) == 3
     assert ceil_exact(Fraction(7, 2)) == 4
-    assert floor_exact(5) == ceil_exact(5) == 5
+    assert ceil_exact(5) == 5
     assert ceil_exact(ExactReal.sqrt(2)) == 2
     assert ceil_exact(ExactReal(2)) == 2
 
