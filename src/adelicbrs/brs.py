@@ -19,17 +19,21 @@ in rendering and plotting.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (CertificateFailure, ConditionViolated, NegativeIndicator,
-                     NegativeVolume, UnsupportedCoordinate, ZeroGamma)
-from .exact import (ExactReal, PrimeSet, RationalLike, ceil_exact, crt_coset,
-                    factorize, padic_abs, padic_fractional_part,
-                    padic_valuation)
+from .errors import (CertificateFailure, ConditionViolated, FieldMismatch,
+                     NegativeIndicator, NegativeVolume, PrimeSetMismatch,
+                     UnsupportedCoordinate, ZeroGamma)
+from .exact import (ExactReal, PrimeSet, RationalLike, _floor_a_plus_b_sqrt_d,
+                    _sign_a_plus_b_sqrt_d, ceil_exact, crt_coset, factorize,
+                    padic_abs, padic_fractional_part, padic_valuation,
+                    rational_residue)
 from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, is_minimal,
-                       orbit)
+                       reduce_to_fundamental)
 
 
 # --- geometry -------------------------------------------------------------
@@ -449,6 +453,78 @@ class DiscrepancySummary:
     sup_at: int
 
 
+def _lift_counts(boxes: Sequence[AdelicBox], alpha: AdeleVector,
+                 x0: SolenoidPoint, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield, for k = 0, ..., n-1, the tuple of box_lift_count(box, x_k)
+    over the boxes, where x_k is the reduced orbit point x0 + k*alpha.
+
+    The orbit is taken in closed form on plain integers; see
+    discrepancy_series for why this is exact.
+    """
+    if x0.primes != alpha.primes:
+        raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
+    ends = [end for box in boxes for end in (box.lo, box.hi)]
+    d = 0
+    for v in (alpha.real, x0.real, *ends):
+        if v.d and d and v.d != d:
+            raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({v.d})")
+        d = d or v.d
+    g0 = Fraction(0)
+    for p, ap in alpha.parts:
+        g0 += padic_fractional_part(ap, p)
+    beta = alpha.real - g0
+    # every real number below is (A + B*sqrt(d)) / den
+    den = math.lcm(x0.real.c, beta.c, *(end.c for end in ends))
+
+    def scaled(v: ExactReal) -> tuple[int, int]:
+        return v.a * (den // v.c), v.b * (den // v.c)
+
+    a, b = scaled(x0.real)
+    a_step, b_step = scaled(beta)
+    prepared = []
+    for box in boxes:
+        # (u + k*v - m_k) % q is the residue of x_{k,p} mod q = p**e,
+        # which is all a ball of radius p**-e sees of it
+        mods = tuple(
+            (rational_residue(x0.part(ball.p), ball.p, -ball.radius_exponent),
+             rational_residue(alpha.part(ball.p) - g0, ball.p,
+                              -ball.radius_exponent),
+             ball.p ** -ball.radius_exponent)
+            for ball in box.balls if ball.radius_exponent < 0)
+        prepared.append((box, mods, *scaled(box.lo), *scaled(box.hi), {}))
+
+    def coset(box: AdelicBox, key: tuple[int, ...]) -> tuple[int, int, int]:
+        residues = iter(key)
+        c, delta = crt_coset(
+            [(ball.p, ball.radius_exponent,
+              ball.center - (next(residues) if ball.radius_exponent < 0
+                             else 0))
+             for ball in box.balls])
+        # (end - y - c) / delta = ((E - y_a)*f - g + (E_b - b)*f*sqrt(d)) / r
+        f = c.denominator * delta.denominator
+        return (f, c.numerator * den * delta.denominator,
+                den * c.denominator * delta.numerator)
+
+    for k in range(n):
+        m = _floor_a_plus_b_sqrt_d(a, b, den, d)
+        y_a = a - m * den  # x_{k,real} = (y_a + b*sqrt(d)) / den
+        counts = []
+        for box, mods, lo_a, lo_b, hi_a, hi_b, cache in prepared:
+            key = tuple((u + k * v - m) % q for u, v, q in mods)
+            entry = cache.get(key)
+            if entry is None:
+                entry = cache[key] = coset(box, key)
+            f, g, r = entry
+            lo = _floor_a_plus_b_sqrt_d(g - (lo_a - y_a) * f,
+                                        (b - lo_b) * f, r, d)
+            hi = _floor_a_plus_b_sqrt_d(g - (hi_a - y_a) * f,
+                                        (b - hi_b) * f, r, d)
+            counts.append(max(0, lo - hi))  # ceil(hi') - ceil(lo')
+        yield tuple(counts)
+        a += a_step
+        b += b_step
+
+
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
                        x0: SolenoidPoint,
                        checkpoints: Sequence[int]) -> DiscrepancySummary:
@@ -457,6 +533,25 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
 
     running_sup is the maximum of |D_M| over all M <= N, not only over
     checkpoints, and sup_at records where it was attained.
+
+    The orbit is computed in closed form.  With g0 = sum_p {alpha_p}_p,
+    beta = alpha_real - g0 and m_k = floor(x0_real + k*beta), the k-th
+    reduced point is
+
+        x_k = (x0_real + k*beta - m_k,  x0_p + k*(alpha_p - g0) - m_k).
+
+    It differs from x0 + k*alpha by the lattice element k*g0 + m_k, its
+    real part lies in [0, 1) and each p-adic part is p-integral, so it
+    is the unique reduction that iterating rotate would reach.  So a
+    step costs one exact floor, an integer square root on numerators
+    over one common denominator.  A ball of radius p**-e sees x_{k,p}
+    only through its residue mod p**e, so each box's CRT coset is
+    cached per residue tuple and crt_coset runs only on a miss; the real
+    interval is then counted by two exact integer ceilings.  D_N and the
+    running sup are kept as integer pairs (P + Q*sqrt(d)) / c over the
+    denominator c of |A| and compared by exact sign tests, so an
+    ExactReal is built only at checkpoints.  Nothing is rounded, so the
+    results equal those of orbit plus multiplicity exactly.
     """
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -464,20 +559,33 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     goal = checkpoints[-1]
     marks = set(checkpoints)
     vol = boxset.claimed_volume
-    acc = 0
-    sup = ExactReal(0)
+    va, vb, vc, d = vol.a, vol.b, vol.c, vol.d
+    weights = [w for _, w in boxset.terms]
+    acc_a = acc_b = 0  # D_N = (acc_a + acc_b*sqrt(d)) / vc
+    sup_a = sup_b = 0  # running sup, likewise
     sup_at = 0
     records = []
-    for k, x in enumerate(orbit(alpha, x0, goal)):
-        acc += multiplicity(boxset, x)
+    counts = _lift_counts([box for box, _ in boxset.terms], alpha, x0, goal)
+    for k, terms in enumerate(counts):
+        total = sum(map(operator.mul, weights, terms))
+        if total < 0:
+            x = reduce_to_fundamental(x0 + alpha.scale(k))[0]
+            raise NegativeIndicator(f"indicator {total} at {x!r}")
         n = k + 1
-        d = vol * (-n) + acc
-        ad = abs(d)
-        if ad > sup:
-            sup, sup_at = ad, n
+        acc_a += total * vc - va
+        acc_b -= vb
+        if _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0:
+            abs_a, abs_b = -acc_a, -acc_b
+        else:
+            abs_a, abs_b = acc_a, acc_b
+        if _sign_a_plus_b_sqrt_d(abs_a - sup_a, abs_b - sup_b, d) > 0:
+            sup_a, sup_b, sup_at = abs_a, abs_b, n
         if n in marks:
-            records.append(DiscrepancyRecord(n, d, sup))
-    return DiscrepancySummary(tuple(records), sup, sup_at)
+            records.append(DiscrepancyRecord(
+                n, ExactReal._reduced(acc_a, acc_b, vc, d),
+                ExactReal._reduced(sup_a, sup_b, vc, d)))
+    return DiscrepancySummary(tuple(records),
+                              ExactReal._reduced(sup_a, sup_b, vc, d), sup_at)
 
 
 def character_volume_identity(boxset: WeightedBoxSet,

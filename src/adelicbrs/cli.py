@@ -106,6 +106,25 @@ def _parse_prime_map(obj: Any, what: str) -> dict[int, Fraction]:
     return out
 
 
+def _require_lattice(g: Fraction, alpha: AdeleVector, what: str) -> None:
+    """g must be a lattice rational: no denominator prime outside Q."""
+    rest = g.denominator
+    for p in alpha.primes:
+        while rest % p == 0:
+            rest //= p
+    if rest > 1:
+        raise ConfigError(f"{what} = {g} has a denominator prime outside "
+                          f"alpha's prime set {list(alpha.primes)}")
+
+
+def _require_field(value: ExactReal, alpha: AdeleVector,
+                   what: str) -> ExactReal:
+    if value.d not in (0, alpha.real.d):
+        raise ConfigError(f"{what} lies in Q(sqrt({value.d})) but "
+                          f"alpha_real in Q(sqrt({alpha.real.d}))")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     alpha: AdeleVector
@@ -141,6 +160,16 @@ def load_config(data: dict) -> ExperimentConfig:
             raise ConfigError(str(e)) from None
     if not is_minimal(alpha):
         raise ConfigError("alpha_real must be irrational (minimal rotation)")
+    weyl_gamma = parse_rational(data.get("weyl_gamma", data.get("gamma", 0)))
+    _require_lattice(gamma, alpha, "gamma")
+    _require_lattice(weyl_gamma, alpha, "weyl_gamma")
+    x0_real = _require_field(parse_exact_real(data.get("x0_real", 0)),
+                             alpha, "x0_real")
+    x0_padic = _parse_prime_map(data.get("x0_padic"), "x0_padic")
+    outside = sorted(set(x0_padic) - set(alpha.primes))
+    if outside:
+        raise ConfigError(f"x0_padic has primes {outside} outside alpha's "
+                          f"prime set {list(alpha.primes)}")
 
     checkpoints = data.get("checkpoints", DEFAULT_CHECKPOINTS)
     if (not isinstance(checkpoints, list) or not checkpoints
@@ -169,8 +198,10 @@ def load_config(data: dict) -> ExperimentConfig:
             raise ConfigError("control_box.balls exponents must be integers")
         try:
             control_box = AdelicBox(
-                parse_exact_real(cb.get("real_lo", 0)),
-                parse_exact_real(cb.get("real_hi", 1)),
+                _require_field(parse_exact_real(cb.get("real_lo", 0)),
+                               alpha, "control_box.real_lo"),
+                _require_field(parse_exact_real(cb.get("real_hi", 1)),
+                               alpha, "control_box.real_hi"),
                 tuple(PAdicBall(p, Fraction(0), int(balls[p]))
                       for p in sorted(balls)))
         except ValueError as e:
@@ -178,12 +209,8 @@ def load_config(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         alpha=alpha, gamma=gamma, n=n, checkpoints=list(checkpoints),
-        x0_real=parse_exact_real(data.get("x0_real", 0)),
-        x0_padic=_parse_prime_map(data.get("x0_padic"), "x0_padic"),
-        seed=seed, bound=bound, cutproject_n=cut_n,
-        weyl_gamma=parse_rational(data.get("weyl_gamma",
-                                           data.get("gamma", 0))),
-        control_box=control_box)
+        x0_real=x0_real, x0_padic=x0_padic, seed=seed, bound=bound,
+        cutproject_n=cut_n, weyl_gamma=weyl_gamma, control_box=control_box)
 
 
 def starting_point(cfg: ExperimentConfig):

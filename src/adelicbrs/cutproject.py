@@ -8,9 +8,12 @@ multiplicity, exactly the lift counts that the brs module computes for
 the projected set.
 
 The counting here is deliberately implemented on a different code path
-from brs.box_lift_count (pieced-together p-adic fractional parts and a
-linear scan instead of CRT plus a ceiling formula), so the agreement of
-the two is a meaningful end-to-end check rather than a tautology.
+from the lift counts of brs (pieced-together p-adic fractional parts and
+a linear scan instead of CRT plus a ceiling formula), so the agreement
+of the two is a meaningful end-to-end check rather than a tautology.
+correspondence_check runs the window scan against the closed-form orbit
+kernel that verify's discrepancy series uses, so it cross-checks that
+kernel too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable
 from . import brs
 from .brs import AdelicBox, WeightedBoxSet
 from .exact import RationalLike, padic_fractional_part
-from .solenoid import AdeleVector, orbit, zero_point
+from .solenoid import AdeleVector, zero_point
 
 
 def window_multiplicity(window: AdelicBox, alpha: AdeleVector,
@@ -83,9 +86,10 @@ def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,
     """Compare, for gamma1 = 0..n-1 and every box of the set, the
     cut-and-project multiplicity against the lift count brs computes at
     the projected orbit point.  True iff they agree everywhere."""
-    points = orbit(alpha, zero_point(alpha.primes), n)
-    for g1, x in enumerate(points):
-        for box, _ in boxset.terms:
-            if window_multiplicity(box, alpha, g1) != brs.box_lift_count(box, x):
+    boxes = [box for box, _ in boxset.terms]
+    counts = brs._lift_counts(boxes, alpha, zero_point(alpha.primes), n)
+    for g1, terms in enumerate(counts):
+        for box, count in zip(boxes, terms):
+            if window_multiplicity(box, alpha, g1) != count:
                 return False
     return True

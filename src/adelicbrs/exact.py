@@ -246,6 +246,20 @@ def _sign_a_plus_b_sqrt_d(a: int, b: int, d: int) -> int:
     return (1 if x > y else -1) * (1 if a > 0 else -1)
 
 
+def _floor_a_plus_b_sqrt_d(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d)) / c) for integers with c > 0 and either
+    b == 0 or d squarefree and > 1.
+
+    Then b*sqrt(d) is irrational, so with t = isqrt(b*b*d) the integer
+    s = a + t (b > 0) or a - t - 1 (b < 0) satisfies s < a + b*sqrt(d)
+    < s + 1, and floor(X / c) = floor(s / c) for every such X.
+    """
+    if b == 0:
+        return a // c
+    t = math.isqrt(b * b * d)
+    return (a + (t if b > 0 else -t - 1)) // c
+
+
 class ExactReal:
     """An element (a + b*sqrt(d)) / c of a real quadratic field, exact.
 
@@ -485,18 +499,8 @@ class ExactReal:
         return self.a != 0 or self.b != 0
 
     def floor(self) -> int:
-        """Greatest integer <= self, found by integer square-root
-        bracketing plus at most two exact comparisons."""
-        if self.b == 0:
-            return self.a // self.c
-        t = math.isqrt(self.b * self.b * self.d)
-        low = self.a + (t if self.b > 0 else -t - 1)
-        m = low // self.c
-        while self._cmp(m + 1) >= 0:
-            m += 1
-        while self._cmp(m) < 0:
-            m -= 1
-        return m
+        """Greatest integer <= self, by one integer square root."""
+        return _floor_a_plus_b_sqrt_d(self.a, self.b, self.c, self.d)
 
     def ceil(self) -> int:
         return -((-self).floor())

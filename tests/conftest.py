@@ -9,7 +9,15 @@ stay deliberately slow and simple.
 from fractions import Fraction
 from random import Random
 
+from hypothesis import settings
+
 from adelicbrs import AdeleVector, ExactReal, PrimeSet
+
+# One fixed example sequence per test: reproducible on any machine, and
+# no wall-clock deadline, because timings on a shared host are noisy.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("deterministic")
 
 
 def val(x, p: int):

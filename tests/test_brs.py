@@ -2,18 +2,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
-                       ConditionViolated, ExactReal, NegativeIndicator,
-                       NegativeVolume, PAdicBall, PrimeSet, SparseAdele,
-                       UnsupportedCoordinate, WeightedBoxSet, ZeroGamma,
+                       ConditionViolated, ExactReal, FieldMismatch,
+                       NegativeIndicator, NegativeVolume, PAdicBall, PrimeSet,
+                       SolenoidPoint, SparseAdele, UnsupportedCoordinate,
+                       WeightedBoxSet, ZeroGamma,
                        allowable_volume, box_lift_count,
                        character_volume_identity, choose_n, construct_base,
                        construct_brs, construct_witness,
                        count_coset_in_interval, decompose_volume,
                        discrepancy_series, enumerate_volumes, multiplicity,
-                       padic_abs, padic_fractional_part, reduce_to_finite,
-                       restrict, special_gamma, witness_flags, zero_point)
+                       orbit, padic_abs, padic_fractional_part,
+                       reduce_to_finite, reduce_to_fundamental, restrict,
+                       special_gamma, witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
                       random_gamma)
 
@@ -368,8 +372,12 @@ def test_multiplicity_negative_indicator():
     bad = WeightedBoxSet(((small, 1), (AdelicBox.full_domain(P2), -1)),
                          small.volume() - 1 + 1, 1)
     x, _ = _reduce(ALPHA)
-    with pytest.raises(NegativeIndicator):
+    with pytest.raises(NegativeIndicator) as direct:
         multiplicity(bad, x)
+    # the series starts inside the small box and fails one step later, at x
+    with pytest.raises(NegativeIndicator) as series:
+        discrepancy_series(bad, ALPHA, zero_point(P2), [10])
+    assert str(series.value) == str(direct.value)
 
 
 def _reduce(v):
@@ -404,6 +412,108 @@ def test_discrepancy_series_matches_brute_force():
         sup = max(sup, abs(d))
         assert s.records[k].value == d
         assert s.records[k].running_sup == sup
+
+
+def _scalar_series(boxset, alpha, x0, checkpoints, count=multiplicity):
+    """discrepancy_series by the scalar route: orbit plus a lift count
+    per point, with ExactReal arithmetic throughout."""
+    marks = set(checkpoints)
+    acc, sup, sup_at, records = 0, ExactReal(0), 0, []
+    for k, x in enumerate(orbit(alpha, x0, max(checkpoints))):
+        acc += count(boxset, x)
+        d = boxset.claimed_volume * -(k + 1) + acc
+        if abs(d) > sup:
+            sup, sup_at = abs(d), k + 1
+        if k + 1 in marks:
+            records.append((k + 1, d.exact_str(), sup.exact_str()))
+    return records, sup.exact_str(), sup_at
+
+
+def _kernel_series(boxset, alpha, x0, checkpoints):
+    s = discrepancy_series(boxset, alpha, x0, checkpoints)
+    return ([(r.n, r.value.exact_str(), r.running_sup.exact_str())
+             for r in s.records], s.sup.exact_str(), s.sup_at)
+
+
+def _random_start(rng, alpha):
+    """A reduced start point; p-adic parts may carry foreign primes."""
+    if rng.random() < 0.5:
+        real = ExactReal.from_rational(Fraction(rng.randrange(1000), 1000))
+    else:
+        real = ExactReal(rng.randint(-9, 9), rng.randint(-3, 3),
+                         rng.randint(1, 7), alpha.real.d)
+    parts = {p: Fraction(rng.randint(-300, 300),
+                         rng.choice((1, 3, 5, 7, p, p * p, 7 * p)))
+             for p in alpha.primes}
+    return reduce_to_fundamental(AdeleVector(alpha.primes, real, parts))[0]
+
+
+def _random_boxset(rng, alpha):
+    """A construction (possibly with negative surplus) or a control set
+    of one or two random boxes with positive weights."""
+    if rng.random() < 0.5:
+        gamma = random_gamma(rng, alpha.primes)
+        if gamma != 0:
+            n = choose_n(alpha, gamma) + rng.randint(0, 2)
+            return construct_witness(alpha, gamma, n).result
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        balls = tuple(PAdicBall(p, Fraction(rng.randint(-4, 4),
+                                            p ** rng.randint(0, 1)),
+                                rng.randint(-3, 1))
+                      for p in alpha.primes)
+        lo = ExactReal(rng.randint(-4, 4), 0, rng.randint(1, 3))
+        hi = lo + ExactReal(rng.randint(1, 12), 0, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            hi = hi + abs(alpha.real)
+        terms.append((AdelicBox(lo, hi, balls), rng.randint(1, 2)))
+    volume = sum((box.volume() * w for box, w in terms), ExactReal(0))
+    return WeightedBoxSet(tuple(terms), volume, 0)
+
+
+@pytest.mark.parametrize("nprimes", [0, 1, 2])
+@given(seed=st.integers(0, 2 ** 32))
+def test_discrepancy_series_matches_scalar_route(nprimes, seed):
+    rng = Random(seed)
+    alpha = random_alpha(rng)
+    while len(alpha.primes) != nprimes:
+        alpha = random_alpha(rng)
+    boxset = _random_boxset(rng, alpha)
+    x0 = _random_start(rng, alpha)
+    goal = rng.randint(1, 150)
+    checkpoints = sorted({goal, *rng.sample(range(1, goal + 1),
+                                           min(goal, 3))})
+    got = _kernel_series(boxset, alpha, x0, checkpoints)
+    assert got == _scalar_series(boxset, alpha, x0, checkpoints)
+    if goal <= 12:
+        assert got == _scalar_series(boxset, alpha, x0, checkpoints,
+                                     multiplicity_oracle)
+
+
+@pytest.mark.parametrize("alpha,gamma,n", [
+    (AdeleVector(PrimeSet(), SQRT2, {}), Fraction(1), 2),
+    (ALPHA, Fraction(3, 2), 2),  # negative surplus
+    (AdeleVector(PrimeSet([2, 3]), ExactReal(1, 1, 2, 5),
+                 {2: Fraction(3, 4), 3: Fraction(2, 3)}), Fraction(5, 6), 2),
+])
+def test_discrepancy_series_matches_scalar_route_long(alpha, gamma, n):
+    boxset = construct_brs(alpha, gamma, n)
+    x0 = _random_start(Random(61), alpha)
+    checkpoints = [1, 10, 100, 1000, 2000]
+    assert _kernel_series(boxset, alpha, x0, checkpoints) == \
+        _scalar_series(boxset, alpha, x0, checkpoints)
+
+
+def test_discrepancy_series_rejects_mixed_fields():
+    w = construct_witness(ALPHA, Fraction(1, 2), 1)
+    x3 = SolenoidPoint(P2, ExactReal(0, 1, 3, 3))  # sqrt(3)/3
+    with pytest.raises(FieldMismatch):
+        discrepancy_series(w.result, ALPHA, x3, [5])
+    box3 = AdelicBox(ExactReal(0), ExactReal(0, 1, 3, 3),
+                     (PAdicBall(2, Fraction(0), 0),))
+    with pytest.raises(FieldMismatch):
+        discrepancy_series(WeightedBoxSet(((box3, 1),), box3.volume(), 0),
+                           ALPHA, zero_point(P2), [5])
 
 
 def test_discrepancy_checkpoint_validation():

@@ -95,6 +95,7 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert missing == 3
     # values that would otherwise be truncated, accepted or crash
     control = {"real_lo": "0", "real_hi": "1/2", "balls": {"2": "1/2"}}
+    sqrt3 = {"d": 3, "a": 0, "b": 1, "c": 3}
     for command, config in [
             ("construct", dict(WORKED, alpha_real={"d": 2, "a": 1.5,
                                                    "b": 1, "c": 1})),
@@ -103,7 +104,14 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("volumes", dict(WORKED, bound="x")),
             ("volumes", dict(WORKED, bound=-1)),
             ("cutproject", dict(WORKED, cutproject_n="x")),
-            ("cutproject", dict(WORKED, cutproject_n=-5))]:
+            ("cutproject", dict(WORKED, cutproject_n=-5)),
+            # values that would otherwise be ignored or mix two fields
+            ("verify", dict(WORKED, x0_padic={"3": "1"})),
+            ("verify", dict(WORKED, x0_real=sqrt3)),
+            ("verify", dict(WORKED, control_box=dict(control, balls={},
+                                                     real_hi=sqrt3))),
+            ("construct", dict(WORKED, gamma="1/3")),
+            ("weyl", dict(WORKED, weyl_gamma="1/6"))]:
         capsys.readouterr()
         code, _ = run(tmp_path, command, config)
         err = capsys.readouterr().err

@@ -3,11 +3,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adelicbrs import (ExactReal, FieldMismatch, InconsistentConstraints,
                        PrimeSet, ceil_exact, crt_coset, factorize,
                        is_prime, padic_abs, padic_fractional_part,
                        padic_valuation, rational_residue)
+from adelicbrs.exact import _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d
 from conftest import coset_oracle, frac_part_oracle, val
 
 
@@ -264,6 +267,30 @@ def test_exact_real_floor_ceil_mod1_seeded():
         assert 0 <= m < 1
         assert (x - m).is_integer()
         assert math.floor(x.to_float()) in (f - 1, f, f + 1)
+
+
+def floor_by_bisection(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d)) / c) by bisection on exact sign tests only."""
+    lo = (a - abs(b) * d) // c - 1  # below the value, as |b*sqrt(d)| <= |b|*d
+    hi = (a + abs(b) * d) // c + 1  # above it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sign_a_plus_b_sqrt_d(a - mid * c, b, d) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+BIG = 10 ** 30
+
+
+@given(st.integers(-BIG, BIG), st.integers(-BIG, BIG), st.integers(1, BIG),
+       st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 30)))
+def test_floor_matches_bisection(a, b, c, d):
+    want = floor_by_bisection(a, b, c, d)
+    assert _floor_a_plus_b_sqrt_d(a, b, c, d) == want
+    assert ExactReal(a, b, c, d).floor() == want
 
 
 def test_floor_ceil_module_functions():
