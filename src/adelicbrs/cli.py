@@ -3,7 +3,9 @@
 Subcommands: volumes, construct, verify, cutproject, weyl, batch.
 Every run reads one flat JSON config, writes CSV/text outputs plus a
 machine-readable verdict.json into --out, and exits 0 (all checks pass),
-1 (a verified property failed), 2 (infeasible input), or 3 (bad config).
+1 (a verified property failed), 2 (infeasible input), 3 (bad config or
+an output directory that cannot be created), or 4 (internal error: any
+other exception, reported in one line without a traceback).
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
@@ -42,6 +44,7 @@ EXIT_PASS = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 _INFEASIBLE = (NegativeVolume, ZeroGamma, UnsupportedCoordinate,
                TrivialCharacter, ConditionViolated, InconsistentConstraints)
@@ -125,6 +128,20 @@ def _require_field(value: ExactReal, alpha: AdeleVector,
     return value
 
 
+_CONFIG_KEYS = frozenset({
+    "alpha_real", "alpha_padic", "gamma", "infinite_q", "weyl_gamma",
+    "x0_real", "x0_padic", "checkpoints", "n", "seed", "bound",
+    "cutproject_n", "control_box", "out"})
+_CONTROL_BOX_KEYS = frozenset({"real_lo", "real_hi", "balls"})
+
+
+def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} "
+                          f"{', '.join(map(repr, unknown))}{where}")
+
+
 @dataclass
 class ExperimentConfig:
     alpha: AdeleVector
@@ -143,6 +160,7 @@ class ExperimentConfig:
 def load_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown_keys(data, _CONFIG_KEYS, "")
     if "alpha_real" not in data:
         raise ConfigError("missing key alpha_real")
     alpha_real = parse_exact_real(data["alpha_real"])
@@ -189,6 +207,7 @@ def load_config(data: dict) -> ExperimentConfig:
         cb = data["control_box"]
         if not isinstance(cb, dict):
             raise ConfigError("control_box must be an object")
+        _reject_unknown_keys(cb, _CONTROL_BOX_KEYS, " in control_box")
         balls = _parse_prime_map(cb.get("balls"), "control_box.balls")
         for p in alpha.primes:
             balls.setdefault(p, Fraction(0))
@@ -485,22 +504,31 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
     experiments = data.get("experiments")
     if not isinstance(experiments, list) or not experiments:
         raise ConfigError("batch config needs a nonempty experiments list")
-    results = {}
-    worst = EXIT_PASS
+    runs = {}
     for i, entry in enumerate(experiments):
         if not isinstance(entry, dict):
             raise ConfigError(f"experiment {i} is not an object")
         name = entry.get("name", f"experiment_{i}")
+        # each name is the experiment's own directory inside outdir
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(c in name for c in ("/", os.sep, "\0"))):
+            raise ConfigError(f"experiment {i}: name must be one plain path "
+                              f"component, got {name!r}")
+        if name in runs:
+            raise ConfigError(f"experiment {i}: duplicate name {name!r}")
         command = entry.get("command")
         if command not in _COMMANDS:
             raise ConfigError(f"experiment {name}: unknown command {command!r}")
         sub = entry.get("config")
         if not isinstance(sub, dict):
             raise ConfigError(f"experiment {name}: missing config object")
-        code = _run_single(command, {**sub, **overrides},
-                           outdir / str(name), svg)
-        results[str(name)] = {"command": command, "exit_code": code,
-                              "pass": code == EXIT_PASS}
+        runs[name] = (command, sub)
+    results = {}
+    worst = EXIT_PASS
+    for name, (command, sub) in runs.items():
+        code = _run_single(command, {**sub, **overrides}, outdir / name, svg)
+        results[name] = {"command": command, "exit_code": code,
+                         "pass": code == EXIT_PASS}
         worst = max(worst, code)
     write_atomic(outdir / "batch_verdict.json",
                  json.dumps({"command": "batch", "experiments": results,
@@ -509,9 +537,17 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
     return worst
 
 
+def _make_outdir(outdir: Path) -> None:
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory: {e}") from None
+
+
 def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
     try:
         cfg = load_config(data)
+        _make_outdir(outdir)
         return _COMMANDS[command](cfg, outdir, svg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -522,6 +558,13 @@ def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
     except _INFEASIBLE as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except Exception as e:
+        return _internal_error(e)
+
+
+def _internal_error(e: Exception) -> int:
+    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,16 +606,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _dispatch(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as e:
+        return _internal_error(e)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    try:
+        with open(args.config, encoding="utf-8") as f:
+            data = json.load(f)
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(str(e)) from None
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
 
     overrides: dict[str, Any] = {}
     if args.checkpoints is not None:
@@ -580,8 +629,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides["checkpoints"] = [int(tok) for tok in
                                         args.checkpoints.split(",") if tok]
         except ValueError:
-            print("config error: bad --checkpoints", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("bad --checkpoints") from None
     if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "bound", None) is not None:
@@ -589,15 +637,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "count", None) is not None:
         overrides["cutproject_n"] = args.count
 
-    outdir = Path(args.out or data.get("out", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    out = data.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a string, got {out!r}")
+    outdir = Path(args.out or out)
+    _make_outdir(outdir)
 
     if args.command == "batch":
-        try:
-            return cmd_batch(data, outdir, args.svg, overrides)
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+        return cmd_batch(data, outdir, args.svg, overrides)
     return _run_single(args.command, {**data, **overrides}, outdir, args.svg)
 
 

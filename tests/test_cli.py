@@ -1,8 +1,14 @@
+import importlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from adelicbrs.cli import main
+import pytest
+
+from adelicbrs import cli
+from adelicbrs.cli import load_config, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 WORKED = {
     "alpha_real": {"d": 2, "a": 0, "b": 1, "c": 1},
@@ -119,6 +125,82 @@ def test_config_errors_exit_3(tmp_path, capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def test_output_path_errors_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(WORKED, out=5)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["construct", "--config", str(cfg)]) == 3
+    _one_line_error(capsys, "config error:")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    cfg.write_text(json.dumps(WORKED), encoding="utf-8")
+    for command in ("construct", "batch"):
+        assert main([command, "--config", str(cfg), "--out", str(taken)]) == 3
+        _one_line_error(capsys, "config error:")
+    # a batch member whose own directory is taken fails alone, with 3
+    cfg.write_text(json.dumps({"experiments": [
+        {"name": "a", "command": "construct", "config": WORKED},
+        {"name": "b", "command": "construct", "config": WORKED}]}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a").write_text("", encoding="utf-8")
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
+    _one_line_error(capsys, "config error:")
+    v = json.loads((out / "batch_verdict.json").read_text(encoding="utf-8"))
+    assert [v["experiments"][k]["exit_code"] for k in "ab"] == [3, 0]
+
+
+def test_unknown_config_keys_exit_3(tmp_path, capsys):
+    control = {"real_lo": "0", "real_hi": "1/2", "balls": {"2": 0}}
+    for config, key in [
+            (dict(WORKED, checkpoint=[10]), "'checkpoint'"),
+            (dict(WORKED, control_box=dict(control, rel_hi="1")), "'rel_hi'")]:
+        capsys.readouterr()
+        code, _ = run(tmp_path, "verify", config)
+        assert code == 3
+        assert key in _one_line_error(capsys, "config error:")
+    # the control box itself is fine
+    code, _ = run(tmp_path, "verify", dict(WORKED, control_box=control))
+    assert code in (0, 1)
+
+
+def test_shipped_and_benchmark_configs_load(monkeypatch):
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for entry in data.get("experiments", [{"config": data}]):
+            load_config(entry["config"])
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for op in workloads.generate(name, 0):
+            load_config(op.config)
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.cutproject, "correspondence_check", broken)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "cutproject", dict(WORKED, cutproject_n=5))
+    assert code == 4
+    err = _one_line_error(capsys, "internal error: RuntimeError: boom")
+    assert "Traceback" not in err
+    monkeypatch.setattr(cli, "cmd_batch", broken)
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"experiments": []}), encoding="utf-8")
+    assert main(["batch", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    _one_line_error(capsys, "internal error: RuntimeError: boom")
+
+
 def test_volumes_csv(tmp_path):
     code, out = run(tmp_path, "volumes", dict(WORKED, bound=2))
     assert code == 0
@@ -190,6 +272,28 @@ def test_batch_applies_checkpoint_and_seed_overrides(tmp_path):
     v = read_verdict(out / "v")
     assert [c["N"] for c in v["checkpoints"]] == [10, 60]
     assert v["seed"] == 7
+
+
+@pytest.mark.parametrize("names", [
+    ["a", "a"], ["../x"], ["."], [".."], [""], ["a/b"], [3],
+    ["experiment_1", None]], ids=["duplicate", "parent_dir", "dot", "dotdot",
+                                  "empty", "slash", "not_string",
+                                  "clashes_with_default"])
+def test_batch_rejects_bad_experiment_names(tmp_path, capsys, names):
+    experiments = [{"command": "construct", "config": WORKED}
+                   for _ in names]
+    for entry, name in zip(experiments, names):
+        if name is not None:
+            entry["name"] = name
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"experiments": experiments}), encoding="utf-8")
+    out = tmp_path / "sub" / "out"
+    capsys.readouterr()
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
+    _one_line_error(capsys, "config error:")
+    # nothing ran, inside --out or beside it
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["out"]
 
 
 def test_checkpoint_and_seed_overrides(tmp_path):

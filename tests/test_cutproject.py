@@ -1,12 +1,18 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
                        PrimeSet, box_lift_count, choose_n,
                        construct_witness, correspondence_check,
                        generate_cutproject, orbit, window_multiplicity,
                        zero_point)
-from conftest import lift_count_oracle, random_alpha, random_gamma
+from adelicbrs.errors import FieldMismatch
+from adelicbrs.exact import crt_coset
+from conftest import lift_count_oracle, random_alpha, random_gamma, val
 
 P2 = PrimeSet([2])
 SQRT2 = ExactReal.sqrt(2)
@@ -89,3 +95,76 @@ def test_full_domain_window_selects_one_companion_each():
     full = AdelicBox.full_domain(P2)
     for g1 in range(-10, 10):
         assert window_multiplicity(full, ALPHA, Fraction(g1, 2)) == 1
+
+
+def _sqrt2_real(draw, a_max=50):
+    return ExactReal(draw(st.integers(-a_max, a_max)),
+                     draw(st.integers(-5, 5)), draw(st.integers(1, 12)), 2)
+
+
+def _power_fraction(draw, p, e_max=1):
+    e = draw(st.integers(0, e_max))
+    return Fraction(draw(st.integers(-3 * p ** e, 3 * p ** e)), p ** e)
+
+
+@st.composite
+def window_cases(draw):
+    """A rotation in Q(sqrt(2)), a window at its primes and a gamma1.
+
+    The lower end is a random (a + b*sqrt(2))/c or sits exactly on an
+    admitted point x + base + j*s; the width is k*s, 1 <= k <= 30, plus
+    either nothing (so the upper end is an admitted point too), a rational
+    or an irrational fraction of s.
+    """
+    primes = draw(st.sampled_from([(), (2,), (3,), (2, 3)]))
+    real = _sqrt2_real(draw, 6)
+    assume(real.b != 0)
+    alpha = AdeleVector(PrimeSet(primes), real,
+                        {p: _power_fraction(draw, p) for p in primes})
+    balls = tuple(PAdicBall(p, _power_fraction(draw, p),
+                            draw(st.integers(-3, 2))) for p in primes)
+    g_den = 1
+    for p in primes:
+        g_den *= p ** draw(st.integers(0, 2))
+    gamma1 = Fraction(draw(st.integers(-30, 30)), g_den)
+    s = Fraction(1)
+    for ball in balls:
+        s *= Fraction(ball.p) ** -ball.radius_exponent
+    if draw(st.booleans()):
+        lo = _sqrt2_real(draw)
+    else:
+        c, delta = crt_coset([(b.p, b.radius_exponent,
+                               b.center - gamma1 * alpha.part(b.p))
+                              for b in balls])
+        assert delta == s
+        lo = alpha.real * gamma1 + c + draw(st.integers(-40, 40)) * s
+    extra = draw(st.sampled_from(["none", "rational", "irrational"]))
+    width = s * draw(st.integers(1, 30))
+    if extra == "rational":
+        width += s * Fraction(draw(st.integers(1, 7)), 8)
+    elif extra == "irrational":
+        width += _sqrt2_real(draw).mod1() * s
+    return AdelicBox(lo, lo + width, balls), alpha, gamma1
+
+
+@given(window_cases())
+def test_window_multiplicity_matches_enumeration(case):
+    box, alpha, gamma1 = case
+    # keep the enumeration oracle's candidate scan small
+    denom = 1
+    for ball in box.balls:
+        gap = val(ball.center - gamma1 * alpha.part(ball.p), ball.p)
+        denom *= ball.p ** max(ball.radius_exponent, 0,
+                               -gap if gap != float("inf") else 0)
+    assume((box.hi - box.lo).to_float() * denom <= 10_000)
+    assert window_multiplicity(box, alpha, gamma1) == \
+        _count_direct(box, alpha, gamma1)
+
+
+def test_window_multiplicity_rejects_mixed_fields():
+    box = AdelicBox(ExactReal(0, 1, 2, 3), ExactReal(2),
+                    (PAdicBall(2, Fraction(0), -1),))
+    with pytest.raises(FieldMismatch):
+        window_multiplicity(box, ALPHA, 1)
+    # gamma1 = 0 puts no sqrt(2) into the shift, so nothing is mixed
+    assert window_multiplicity(box, ALPHA, 0) == _count_direct(box, ALPHA, 0)
