@@ -11,14 +11,13 @@ floating point appears only in reports and Weyl averages.
 from .errors import (AdelicError, CertificateFailure, ConditionViolated,
                      FieldMismatch, InconsistentConstraints,
                      NegativeIndicator, NegativeVolume, PrimeSetMismatch,
-                     TrivialCharacter, UnsupportedCoordinate, ZeroGamma)
+                     TrivialCharacter, ZeroGamma)
 from .exact import (ExactReal, PrimeSet, ceil_exact, crt_coset, factorize,
                     is_prime, padic_abs, padic_fractional_part,
                     padic_valuation, rational_residue)
-from .solenoid import (AdeleVector, LatticeElement, PhaseModOne,
-                       SolenoidPoint, as_lattice, character_phase, is_minimal,
-                       orbit, reduce_to_fundamental, rotate, weyl_sum,
-                       zero_point)
+from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, character_phase,
+                       is_minimal, orbit, reduce_to_fundamental, rotate,
+                       weyl_sum, zero_point)
 from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
                   DiscrepancySummary, PAdicBall, SparseAdele, VolumeElement,
                   WeightedBoxSet, allowable_volume, box_lift_count,
@@ -36,11 +35,11 @@ __all__ = [
     "AdelicError", "CertificateFailure", "ConditionViolated",
     "FieldMismatch", "InconsistentConstraints", "NegativeIndicator",
     "NegativeVolume", "PrimeSetMismatch", "TrivialCharacter",
-    "UnsupportedCoordinate", "ZeroGamma",
+    "ZeroGamma",
     "ExactReal", "PrimeSet", "ceil_exact", "crt_coset", "factorize",
     "is_prime", "padic_abs", "padic_fractional_part",
     "padic_valuation", "rational_residue",
-    "AdeleVector", "LatticeElement", "PhaseModOne", "SolenoidPoint",
+    "AdeleVector", "SolenoidPoint",
     "as_lattice", "character_phase", "is_minimal", "orbit",
     "reduce_to_fundamental", "rotate", "weyl_sum", "zero_point",
     "AdelicBox", "BRSConstruction", "DiscrepancyRecord",

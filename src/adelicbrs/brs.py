@@ -27,13 +27,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (CertificateFailure, ConditionViolated, FieldMismatch,
                      NegativeIndicator, NegativeVolume, PrimeSetMismatch,
-                     UnsupportedCoordinate, ZeroGamma)
+                     ZeroGamma)
 from .exact import (ExactReal, PrimeSet, RationalLike, _floor_a_plus_b_sqrt_d,
                     _sign_a_plus_b_sqrt_d, ceil_exact, crt_coset, factorize,
-                    padic_abs, padic_fractional_part, padic_valuation,
-                    rational_residue)
-from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, is_minimal,
-                       reduce_to_fundamental)
+                    padic_abs, padic_valuation, rational_residue)
+from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, fractional_sum,
+                       is_minimal, reduce_to_fundamental)
 
 
 # --- geometry -------------------------------------------------------------
@@ -54,10 +53,6 @@ class PAdicBall(object):
 
     def __post_init__(self):
         object.__setattr__(self, "center", Fraction(self.center))
-
-    def contains(self, x: RationalLike) -> bool:
-        return padic_valuation(Fraction(x) - self.center,
-                               self.p) >= -self.radius_exponent
 
     def measure(self) -> Fraction:
         return Fraction(self.p) ** self.radius_exponent
@@ -191,11 +186,8 @@ class BRSConstruction:
 def allowable_volume(alpha: AdeleVector, gamma: RationalLike,
                      n: int) -> ExactReal:
     """xi = -gamma*alpha_real + sum_p {gamma*alpha_p}_p + n, exact."""
-    g = as_lattice(gamma, alpha.primes).value
-    xi = alpha.real * (-g) + n
-    for p, ap in alpha.parts:
-        xi = xi + padic_fractional_part(g * ap, p)
-    return xi
+    g = as_lattice(gamma, alpha.primes)
+    return alpha.real * (-g) + fractional_sum(g, alpha) + n
 
 
 def choose_n(alpha: AdeleVector, gamma: RationalLike) -> int:
@@ -205,7 +197,7 @@ def choose_n(alpha: AdeleVector, gamma: RationalLike) -> int:
     For irrational alpha_real at most one n is excluded per prime, so
     the scan below terminates after at most |Q| + 1 candidates.
     """
-    g = as_lattice(gamma, alpha.primes).value
+    g = as_lattice(gamma, alpha.primes)
     base = allowable_volume(alpha, g, 0)
     n = (-base).ceil()
     while _lambda_veto(alpha, g, n):
@@ -217,9 +209,7 @@ def _lambda_veto(alpha: AdeleVector, g: Fraction, n: int) -> bool:
     # lambda = -lam1/gamma equals -alpha_p iff lam1 = gamma * alpha_p
     if g == 0:
         return False
-    lam1 = Fraction(n)
-    for p, ap in alpha.parts:
-        lam1 += padic_fractional_part(g * ap, p)
+    lam1 = fractional_sum(g, alpha) + n
     return any(lam1 == g * ap for _, ap in alpha.parts)
 
 
@@ -286,9 +276,7 @@ def construct_base(alpha: AdeleVector, sign: int, ell: int,
     xi = allowable_volume(alpha, g, n)
     if xi < 0:
         raise NegativeVolume(f"xi = {xi} for n = {n}")
-    lam1 = Fraction(n)
-    for p, ap in alpha.parts:
-        lam1 += padic_fractional_part(g * ap, p)
+    lam1 = fractional_sum(g, alpha) + n
     lam2 = -g
     lam = lam1 / lam2
 
@@ -331,7 +319,7 @@ def decompose_volume(alpha: AdeleVector, gamma: RationalLike,
     ell is the smallest uniform exponent clearing every denominator of
     gamma (at least 1), and n0 = choose_n for the reduced index.
     """
-    g = as_lattice(gamma, alpha.primes).value
+    g = as_lattice(gamma, alpha.primes)
     if g == 0:
         raise ZeroGamma("gamma = 0 has no reduced index")
     xi_target = allowable_volume(alpha, g, n)
@@ -357,7 +345,7 @@ def construct_brs(alpha: AdeleVector, gamma: RationalLike,
                   n: int) -> WeightedBoxSet:
     """Bounded remainder set of volume xi(alpha, gamma, n) as a weighted
     box set; see construct_witness for the full audit trail."""
-    g = as_lattice(gamma, alpha.primes).value
+    g = as_lattice(gamma, alpha.primes)
     if g == 0:
         if n < 0:
             raise NegativeVolume(f"xi' = {n} < 0")
@@ -378,7 +366,7 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
     by the exact floor of the fused box volume, which lower-bounds its
     lift count at every point of the solenoid.
     """
-    g = as_lattice(gamma, alpha.primes).value
+    g = as_lattice(gamma, alpha.primes)
     sign, ell, n0, copies, surplus = decompose_volume(alpha, g, n)
     base = construct_base(alpha, sign, ell, n0)
     fused = AdelicBox(base.base_box.lo,
@@ -469,9 +457,7 @@ def _lift_counts(boxes: Sequence[AdelicBox], alpha: AdeleVector,
         if v.d and d and v.d != d:
             raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({v.d})")
         d = d or v.d
-    g0 = Fraction(0)
-    for p, ap in alpha.parts:
-        g0 += padic_fractional_part(ap, p)
+    g0 = fractional_sum(1, alpha)
     beta = alpha.real - g0
     # every real number below is (A + B*sqrt(d)) / den
     den = math.lcm(x0.real.c, beta.c, *(end.c for end in ends))
@@ -595,11 +581,8 @@ def character_volume_identity(boxset: WeightedBoxSet,
     {gamma*alpha_p}_p must be an integer."""
     if boxset.source_gamma is None:
         raise ValueError("box set carries no construction indices")
-    g = boxset.source_gamma
-    z = boxset.claimed_volume + alpha.real * g
-    for p, ap in alpha.parts:
-        z = z - padic_fractional_part(g * ap, p)
-    return z.is_integer()
+    return (boxset.claimed_volume
+            - allowable_volume(alpha, boxset.source_gamma, 0)).is_integer()
 
 
 def _window(alpha: AdeleVector, lam: Fraction) -> ExactReal:
@@ -638,14 +621,13 @@ def witness_flags(alpha: AdeleVector, boxset: WeightedBoxSet,
 class SparseAdele:
     """A rotation on the full adelic torus (all primes), given by its
     real coordinate, the finitely many non-integral or otherwise
-    explicit p-adic coordinates, and a pledge that every remaining
-    coordinate is p-integral (taken to be 0)."""
+    explicit p-adic coordinates; every remaining coordinate is taken to
+    be p-integral (0)."""
 
     real: ExactReal
     support: tuple[tuple[int, Fraction], ...]
-    default_integral: bool = True
 
-    def __init__(self, real, support=(), default_integral=True):
+    def __init__(self, real, support=()):
         if not isinstance(real, ExactReal):
             real = ExactReal.from_rational(real)
         items = dict(support)
@@ -653,7 +635,6 @@ class SparseAdele:
             (p, Fraction(items[p])) for p in PrimeSet(items))
         object.__setattr__(self, "real", real)
         object.__setattr__(self, "support", packed)
-        object.__setattr__(self, "default_integral", default_integral)
 
     def coordinate(self, p: int) -> Fraction:
         for q, x in self.support:
@@ -667,10 +648,6 @@ def reduce_to_finite(alpha: SparseAdele, gamma: RationalLike) -> PrimeSet:
     for (alpha, gamma): primes where either |alpha_p|_p > 1 or
     |gamma|_p > 1.  Outside it every fractional part in the volume
     series vanishes, so the BRS problem restricts losslessly."""
-    if not alpha.default_integral:
-        raise UnsupportedCoordinate(
-            "cannot certify undeclared coordinates without the "
-            "integrality pledge")
     g = Fraction(gamma)
     candidates = {p for p, _ in alpha.support}
     candidates.update(factorize(g.denominator) if g.denominator > 1 else {})

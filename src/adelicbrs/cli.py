@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import cutproject
 from .brs import (AdelicBox, PAdicBall, SparseAdele, WeightedBoxSet,
@@ -32,10 +32,10 @@ from .brs import (AdelicBox, PAdicBall, SparseAdele, WeightedBoxSet,
                   witness_flags)
 from .errors import (AdelicError, CertificateFailure, ConditionViolated,
                      InconsistentConstraints, NegativeIndicator,
-                     NegativeVolume, TrivialCharacter, UnsupportedCoordinate,
+                     NegativeVolume, PrimeSetMismatch, TrivialCharacter,
                      ZeroGamma)
 from .exact import ExactReal, PrimeSet, is_prime
-from .solenoid import (AdeleVector, character_phase, is_minimal,
+from .solenoid import (AdeleVector, as_lattice, character_phase, is_minimal,
                        reduce_to_fundamental, weyl_sum)
 
 DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
@@ -46,8 +46,8 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
-_INFEASIBLE = (NegativeVolume, ZeroGamma, UnsupportedCoordinate,
-               TrivialCharacter, ConditionViolated, InconsistentConstraints)
+_INFEASIBLE = (NegativeVolume, ZeroGamma, TrivialCharacter,
+               ConditionViolated, InconsistentConstraints)
 _BROKEN = (CertificateFailure, NegativeIndicator)
 
 
@@ -82,6 +82,7 @@ def parse_int(value: Any, what: str, minimum: int | None = None) -> int:
 
 def parse_exact_real(value: Any) -> ExactReal:
     if isinstance(value, dict):
+        _reject_unknown_keys(value, _EXACT_REAL_KEYS, " in an exact real")
         a, b, c, d = (parse_int(value.get(k, default), f"exact real {k!r}")
                       for k, default in (("a", 0), ("b", 0), ("c", 1),
                                          ("d", 0)))
@@ -92,7 +93,10 @@ def parse_exact_real(value: Any) -> ExactReal:
     return ExactReal.from_rational(parse_rational(value))
 
 
-def _parse_prime_map(obj: Any, what: str) -> dict[int, Fraction]:
+def _parse_prime_map(obj: Any, what: str,
+                     parse_value: Callable[[Any], Any]) -> dict[int, Any]:
+    """Keys are primes written as canonical decimals ("2", never "02",
+    " 2" or "+2"), so no two keys name the same prime."""
     if obj is None:
         return {}
     if not isinstance(obj, dict):
@@ -102,22 +106,21 @@ def _parse_prime_map(obj: Any, what: str) -> dict[int, Fraction]:
         try:
             p = int(key)
         except ValueError:
-            raise ConfigError(f"bad prime key {key!r} in {what}") from None
-        if not is_prime(p):
-            raise ConfigError(f"{p} in {what} is not prime")
-        out[p] = parse_rational(val)
+            p = 0
+        if key != str(p) or not is_prime(p):
+            raise ConfigError(f"{what} key {key!r} must be a prime "
+                              f"written in canonical decimal")
+        out[p] = parse_value(val)
     return out
 
 
 def _require_lattice(g: Fraction, alpha: AdeleVector, what: str) -> None:
     """g must be a lattice rational: no denominator prime outside Q."""
-    rest = g.denominator
-    for p in alpha.primes:
-        while rest % p == 0:
-            rest //= p
-    if rest > 1:
+    try:
+        as_lattice(g, alpha.primes)
+    except PrimeSetMismatch:
         raise ConfigError(f"{what} = {g} has a denominator prime outside "
-                          f"alpha's prime set {list(alpha.primes)}")
+                          f"alpha's prime set {list(alpha.primes)}") from None
 
 
 def _require_field(value: ExactReal, alpha: AdeleVector,
@@ -133,6 +136,9 @@ _CONFIG_KEYS = frozenset({
     "x0_real", "x0_padic", "checkpoints", "n", "seed", "bound",
     "cutproject_n", "control_box", "out"})
 _CONTROL_BOX_KEYS = frozenset({"real_lo", "real_hi", "balls"})
+_EXACT_REAL_KEYS = frozenset({"a", "b", "c", "d"})
+_BATCH_KEYS = frozenset({"experiments", "out"})
+_EXPERIMENT_KEYS = frozenset({"name", "command", "config"})
 
 
 def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
@@ -164,11 +170,16 @@ def load_config(data: dict) -> ExperimentConfig:
     if "alpha_real" not in data:
         raise ConfigError("missing key alpha_real")
     alpha_real = parse_exact_real(data["alpha_real"])
-    parts = _parse_prime_map(data.get("alpha_padic"), "alpha_padic")
+    parts = _parse_prime_map(data.get("alpha_padic"), "alpha_padic",
+                             parse_rational)
     gamma = parse_rational(data.get("gamma", 0))
 
-    if data.get("infinite_q", False):
-        sparse = SparseAdele(alpha_real, parts.items(), True)
+    infinite_q = data.get("infinite_q", False)
+    if not isinstance(infinite_q, bool):
+        raise ConfigError(f"infinite_q must be true or false, "
+                          f"got {infinite_q!r}")
+    if infinite_q:
+        sparse = SparseAdele(alpha_real, parts.items())
         primes = reduce_to_finite(sparse, gamma)
         alpha = restrict(sparse, primes)
     else:
@@ -183,7 +194,8 @@ def load_config(data: dict) -> ExperimentConfig:
     _require_lattice(weyl_gamma, alpha, "weyl_gamma")
     x0_real = _require_field(parse_exact_real(data.get("x0_real", 0)),
                              alpha, "x0_real")
-    x0_padic = _parse_prime_map(data.get("x0_padic"), "x0_padic")
+    x0_padic = _parse_prime_map(data.get("x0_padic"), "x0_padic",
+                                parse_rational)
     outside = sorted(set(x0_padic) - set(alpha.primes))
     if outside:
         raise ConfigError(f"x0_padic has primes {outside} outside alpha's "
@@ -208,20 +220,20 @@ def load_config(data: dict) -> ExperimentConfig:
         if not isinstance(cb, dict):
             raise ConfigError("control_box must be an object")
         _reject_unknown_keys(cb, _CONTROL_BOX_KEYS, " in control_box")
-        balls = _parse_prime_map(cb.get("balls"), "control_box.balls")
+        balls = _parse_prime_map(
+            cb.get("balls"), "control_box.balls",
+            lambda e: parse_int(e, "control_box.balls exponent"))
         for p in alpha.primes:
-            balls.setdefault(p, Fraction(0))
+            balls.setdefault(p, 0)
         if sorted(balls) != list(alpha.primes):
             raise ConfigError("control_box.balls must use alpha's primes")
-        if any(e.denominator != 1 for e in balls.values()):
-            raise ConfigError("control_box.balls exponents must be integers")
         try:
             control_box = AdelicBox(
                 _require_field(parse_exact_real(cb.get("real_lo", 0)),
                                alpha, "control_box.real_lo"),
                 _require_field(parse_exact_real(cb.get("real_hi", 1)),
                                alpha, "control_box.real_hi"),
-                tuple(PAdicBall(p, Fraction(0), int(balls[p]))
+                tuple(PAdicBall(p, Fraction(0), balls[p])
                       for p in sorted(balls)))
         except ValueError as e:
             raise ConfigError(f"bad control_box: {e}") from None
@@ -460,7 +472,7 @@ def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     gamma = cfg.weyl_gamma
     phase = character_phase(gamma, cfg.alpha)
-    norm = phase.distance_to_int()
+    norm = min(phase, 1 - phase)
     rows = []
     plot_rows = []
     all_ok = True
@@ -476,8 +488,8 @@ def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
               ["N", "abs_weyl_sum", "bound", "bound_exact", "status"], rows)
     write_verdict(outdir, {
         "command": "weyl", "seed": cfg.seed, "gamma": str(gamma),
-        "phase_exact": phase.theta.exact_str(),
-        "phase_decimal": phase.theta.decimal_str(),
+        "phase_exact": phase.exact_str(),
+        "phase_decimal": phase.decimal_str(),
         "pass": all_ok, "flags": {"bound_satisfied": all_ok},
     })
     if svg:
@@ -501,6 +513,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
               overrides: dict) -> int:
     """Run every experiment, each with the command-line overrides
     applied to its own config."""
+    _reject_unknown_keys(data, _BATCH_KEYS, " in batch config")
     experiments = data.get("experiments")
     if not isinstance(experiments, list) or not experiments:
         raise ConfigError("batch config needs a nonempty experiments list")
@@ -508,6 +521,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
     for i, entry in enumerate(experiments):
         if not isinstance(entry, dict):
             raise ConfigError(f"experiment {i} is not an object")
+        _reject_unknown_keys(entry, _EXPERIMENT_KEYS, f" in experiment {i}")
         name = entry.get("name", f"experiment_{i}")
         # each name is the experiment's own directory inside outdir
         if (not isinstance(name, str) or name in ("", ".", "..")
@@ -517,7 +531,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
         if name in runs:
             raise ConfigError(f"experiment {i}: duplicate name {name!r}")
         command = entry.get("command")
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise ConfigError(f"experiment {name}: unknown command {command!r}")
         sub = entry.get("config")
         if not isinstance(sub, dict):

@@ -44,7 +44,3 @@ class CertificateFailure(AdelicError, ArithmeticError):
 
 class NegativeIndicator(AdelicError, ArithmeticError):
     """A weighted lift count came out negative; the box set is invalid."""
-
-
-class UnsupportedCoordinate(AdelicError, ValueError):
-    """A coordinate outside the declared support cannot be certified."""

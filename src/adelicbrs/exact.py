@@ -69,9 +69,6 @@ class PrimeSet(tuple):
             _require_prime(p)
         return super().__new__(cls, ps)
 
-    def union(self, other: Iterable[int]) -> "PrimeSet":
-        return PrimeSet(tuple(self) + tuple(other))
-
     def __repr__(self) -> str:
         return f"PrimeSet({list(self)})"
 

@@ -12,47 +12,27 @@ Q may be empty, in which case everything degenerates to the circle R/Z.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .errors import PrimeSetMismatch, TrivialCharacter
-from .exact import (ExactReal, PrimeSet, RationalLike, factorize,
-                    padic_fractional_part, padic_valuation)
-
-GammaLike = Union[int, Fraction, "LatticeElement"]
+from .exact import (ExactReal, PrimeSet, RationalLike, padic_fractional_part,
+                    padic_valuation)
 
 
-def _denominator_primes(x: Fraction) -> tuple[int, ...]:
-    return tuple(factorize(x.denominator)) if x.denominator > 1 else ()
-
-
-@dataclass(frozen=True, slots=True)
-class LatticeElement:
-    """A rational with denominator supported on the solenoid's primes,
-    viewed as a diagonal translation of the solenoid's covering space."""
-
-    value: Fraction
-    primes: PrimeSet
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        for p in _denominator_primes(self.value):
-            if p not in self.primes:
-                raise PrimeSetMismatch(
-                    f"denominator prime {p} outside prime set {self.primes}")
-
-    def diagonal(self) -> "AdeleVector":
-        return AdeleVector(self.primes, ExactReal.from_rational(self.value),
-                           {p: self.value for p in self.primes})
-
-
-def as_lattice(gamma: GammaLike, primes: PrimeSet) -> LatticeElement:
-    if isinstance(gamma, LatticeElement):
-        if gamma.primes != primes:
-            raise PrimeSetMismatch(f"{gamma.primes} != {primes}")
-        return gamma
-    return LatticeElement(Fraction(gamma), primes)
+def as_lattice(gamma: RationalLike, primes: PrimeSet) -> Fraction:
+    """gamma as a lattice rational of the solenoid over primes, whose
+    diagonal translations it indexes: no denominator prime outside the
+    set.  The set's primes are divided out, so nothing is factorized."""
+    g = Fraction(gamma)
+    rest = g.denominator
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    if rest > 1:
+        raise PrimeSetMismatch(
+            f"{g} has a denominator prime outside prime set {primes}")
+    return g
 
 
 class AdeleVector:
@@ -111,11 +91,6 @@ class AdeleVector:
         return AdeleVector(self.primes, self.real * k,
                            {p: x * k for p, x in self.parts})
 
-    def shift_diagonal(self, gamma: RationalLike) -> "AdeleVector":
-        g = Fraction(gamma)
-        return AdeleVector(self.primes, self.real + g,
-                           {p: x + g for p, x in self.parts})
-
     def __eq__(self, other):
         if not isinstance(other, AdeleVector):
             return NotImplemented
@@ -149,24 +124,28 @@ def zero_point(primes: PrimeSet) -> SolenoidPoint:
     return SolenoidPoint(primes, ExactReal(0))
 
 
-def reduce_to_fundamental(
-        x: AdeleVector) -> tuple[SolenoidPoint, LatticeElement]:
+def fractional_sum(gamma: RationalLike, x: AdeleVector) -> Fraction:
+    """sum_p {gamma*x_p}_p, the p-adic part of the character phase and
+    of the allowable volumes."""
+    return sum((padic_fractional_part(gamma * xp, p) for p, xp in x.parts),
+               Fraction(0))
+
+
+def reduce_to_fundamental(x: AdeleVector) -> tuple[SolenoidPoint, Fraction]:
     """Unique representation x = point + diagonal(gamma) with the point
-    in the fundamental domain.
+    in the fundamental domain and gamma a lattice rational.
 
     First the p-adic fractional parts are stripped (making every p-adic
     coordinate integral), then an integer shift puts the real coordinate
     into [0, 1).  Uniqueness follows because the domain is strict.
     """
-    g = Fraction(0)
-    for p, xp in x.parts:
-        g += padic_fractional_part(xp, p)
+    g = fractional_sum(1, x)
     real = x.real - g
     n = real.floor()
     gamma = g + n
     point = SolenoidPoint(x.primes, real - n,
                           {p: xp - gamma for p, xp in x.parts})
-    return point, LatticeElement(gamma, x.primes)
+    return point, gamma
 
 
 def rotate(x: SolenoidPoint, alpha: AdeleVector) -> SolenoidPoint:
@@ -195,43 +174,19 @@ def is_minimal(alpha: AdeleVector) -> bool:
     return not alpha.real.is_rational()
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseModOne:
-    """An exact phase theta in [0, 1); the character value is e(theta)."""
-
-    theta: ExactReal
-
-    def __post_init__(self):
-        if not (0 <= self.theta < 1):
-            raise ValueError(f"phase {self.theta} outside [0, 1)")
-
-    def distance_to_int(self) -> ExactReal:
-        """Distance from theta to the nearest integer."""
-        comp = 1 - self.theta
-        return self.theta if self.theta < comp else comp
-
-    def to_float(self) -> float:
-        return self.theta.to_float()
-
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.to_float())
-
-
-def character_phase(gamma: GammaLike, x: AdeleVector) -> PhaseModOne:
-    """Exact phase of the character indexed by gamma at the point x:
-    (-gamma*x_real + sum_p {gamma*x_p}_p) mod 1.
+def character_phase(gamma: RationalLike, x: AdeleVector) -> ExactReal:
+    """Exact phase in [0, 1) of the character indexed by gamma at the
+    point x: (-gamma*x_real + sum_p {gamma*x_p}_p) mod 1; the character
+    value is e(phase).
 
     Characters with lattice index are trivial on the lattice, which is
     what makes them well defined on the solenoid.
     """
-    g = as_lattice(gamma, x.primes).value
-    total = x.real * (-g)
-    for p, xp in x.parts:
-        total = total + padic_fractional_part(g * xp, p)
-    return PhaseModOne(total.mod1())
+    g = as_lattice(gamma, x.primes)
+    return (x.real * (-g) + fractional_sum(g, x)).mod1()
 
 
-def weyl_sum(gamma: GammaLike, alpha: AdeleVector, n: int) -> complex:
+def weyl_sum(gamma: RationalLike, alpha: AdeleVector, n: int) -> complex:
     """Average (1/n) * sum_{k=1..n} e(k*theta) for the character phase
     theta of gamma along the rotation alpha.
 
@@ -241,14 +196,14 @@ def weyl_sum(gamma: GammaLike, alpha: AdeleVector, n: int) -> complex:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    g = as_lattice(gamma, alpha.primes).value
+    g = as_lattice(gamma, alpha.primes)
     if g == 0:
         raise TrivialCharacter("gamma = 0 averages the constant 1")
     if not is_minimal(alpha):
         raise ValueError("rotation is not minimal; Weyl averages degenerate")
     theta = character_phase(g, alpha)
     t1 = theta.to_float()
-    tn = (theta.theta * n).mod1().to_float()
+    tn = (theta * n).mod1().to_float()
     e1 = cmath.exp(2j * cmath.pi * t1)
     en = cmath.exp(2j * cmath.pi * tn)
     return e1 * (en - 1) / (e1 - 1) / n

@@ -135,6 +135,12 @@ def random_alpha(rng: Random, max_primes: int = 2) -> AdeleVector:
     return AdeleVector(primes, random_irrational(rng), parts)
 
 
+def diagonal(gamma, primes) -> AdeleVector:
+    """The lattice rational gamma embedded at every place."""
+    return AdeleVector(primes, ExactReal.from_rational(gamma),
+                       {p: gamma for p in primes})
+
+
 def random_gamma(rng: Random, primes) -> Fraction:
     den = 1
     for p in primes:

@@ -1,9 +1,15 @@
+import contextlib
+import copy
 import importlib
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adelicbrs import cli
 from adelicbrs.cli import load_config, main
@@ -117,7 +123,22 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("verify", dict(WORKED, control_box=dict(control, balls={},
                                                      real_hi=sqrt3))),
             ("construct", dict(WORKED, gamma="1/3")),
-            ("weyl", dict(WORKED, weyl_gamma="1/6"))]:
+            ("weyl", dict(WORKED, weyl_gamma="1/6")),
+            # a flag that is not a JSON bool, exponents that are not
+            # JSON integers, prime keys that are not canonical decimals
+            ("construct", dict(WORKED, infinite_q="yes")),
+            ("construct", dict(WORKED, infinite_q=0)),
+            ("verify", dict(WORKED, control_box=dict(control,
+                                                     balls={"2": "1/1"}))),
+            ("verify", dict(WORKED, control_box=dict(control,
+                                                     balls={"2": "2"}))),
+            ("construct", dict(WORKED, alpha_padic={" 2": "1/2"})),
+            ("construct", dict(WORKED, alpha_padic={"02": "1/2"})),
+            ("construct", dict(WORKED, alpha_padic={"+2": "1/2"})),
+            ("construct", dict(WORKED, alpha_padic={"2": "1/2",
+                                                    "02": "1/4"})),
+            ("verify", dict(WORKED, x0_padic={"2.0": "1"})),
+            ("batch", {"experiments": [{"command": [], "config": WORKED}]})]:
         capsys.readouterr()
         code, _ = run(tmp_path, command, config)
         err = capsys.readouterr().err
@@ -159,11 +180,19 @@ def test_output_path_errors_exit_3(tmp_path, capsys):
 
 def test_unknown_config_keys_exit_3(tmp_path, capsys):
     control = {"real_lo": "0", "real_hi": "1/2", "balls": {"2": 0}}
-    for config, key in [
-            (dict(WORKED, checkpoint=[10]), "'checkpoint'"),
-            (dict(WORKED, control_box=dict(control, rel_hi="1")), "'rel_hi'")]:
+    member = {"name": "a", "command": "verify", "config": WORKED}
+    for command, config, key in [
+            ("verify", dict(WORKED, checkpoint=[10]), "'checkpoint'"),
+            ("verify", dict(WORKED, control_box=dict(control, rel_hi="1")),
+             "'rel_hi'"),
+            ("verify", dict(WORKED, alpha_real={"d": 2, "b": 1, "e": 3}),
+             "'e'"),
+            ("batch", {"experimentz": [member]}, "'experimentz'"),
+            ("batch", {"experiments": [member], "seed": 1}, "'seed'"),
+            ("batch", {"experiments": [dict(member, comand="weyl")]},
+             "'comand'")]:
         capsys.readouterr()
-        code, _ = run(tmp_path, "verify", config)
+        code, _ = run(tmp_path, command, config)
         assert code == 3
         assert key in _one_line_error(capsys, "config error:")
     # the control box itself is fine
@@ -181,6 +210,106 @@ def test_shipped_and_benchmark_configs_load(monkeypatch):
     for name in workloads.WORKLOADS:
         for op in workloads.generate(name, 0):
             load_config(op.config)
+
+
+# --- fuzzing the config boundary ---------------------------------------------
+
+_COMMANDS = ("volumes", "construct", "verify", "cutproject", "weyl")
+_KEYS = st.sampled_from(sorted(cli._CONFIG_KEYS | cli._CONTROL_BOX_KEYS
+                               | cli._EXACT_REAL_KEYS | cli._BATCH_KEYS
+                               | cli._EXPERIMENT_KEYS)
+                        + ["2", "3", "5", "4", "02", " 2", "+2", "e"])
+
+
+def _json(ints):
+    """Small JSON values: every type a config can hold, with integers
+    drawn from ints so that no run walks far."""
+    scalars = (st.none() | st.booleans() | ints | st.floats(-3, 3)
+               | st.sampled_from(["", "x", "1/2", "-1", "3/4", "1/0", "1/1",
+                                  "2", "5/6", " 2", "02"])
+               | st.text(max_size=3))
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=3)),
+        max_leaves=6)
+
+
+_SMALL = _json(st.integers(-3, 20))
+_TINY = _json(st.integers(-3, 2))  # for bound: volumes grows as bound**(|Q|+1)
+# deleting one of these would restore a large default
+_KEPT = {"checkpoints", "cutproject_n", "bound"}
+
+
+def _shipped():
+    """(command, config) pairs from configs/, shrunk to checkpoints <= 50,
+    bound 2 and cutproject_n 20."""
+    pairs = []
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.pop("out", None)
+        configs = [e["config"] for e in data.get("experiments", [])] or [data]
+        for config in configs:
+            config.update(checkpoints=[10, 50], bound=2, cutproject_n=20)
+        pairs.append(("batch" if "experiments" in data else None, data))
+    return pairs
+
+
+@st.composite
+def _mutated_config(draw):
+    command, data = draw(st.sampled_from(_shipped()))
+    data = copy.deepcopy(data)
+    command = command or draw(st.sampled_from(_COMMANDS))
+    node = data  # walk down to a random object inside the config
+    while True:
+        inner = [v for v in node.values() if isinstance(v, dict)]
+        inner += [v for vs in node.values() if isinstance(vs, list)
+                  for v in vs if isinstance(v, dict)]
+        if not inner or draw(st.booleans()):
+            break
+        node = draw(st.sampled_from(inner))
+    # mostly retype or drop a key that is there, sometimes add one
+    if node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node)))
+    else:
+        key = draw(_KEYS)
+    if key not in _KEPT and draw(st.integers(0, 3)) == 0:
+        node.pop(key, None)
+    else:
+        node[key] = draw(_TINY if key == "bound" else _SMALL)
+    return command, data
+
+
+@st.composite
+def _random_config(draw):
+    data = draw(st.dictionaries(_KEYS, _SMALL, max_size=6) | _SMALL)
+    if isinstance(data, dict):  # keep _KEPT from large defaults and values
+        data.setdefault("checkpoints", [10])
+        data.setdefault("cutproject_n", 5)
+        if isinstance(data.get("bound"), int) and data["bound"] > 2:
+            data["bound"] = 2
+    return draw(st.sampled_from(_COMMANDS + ("batch",))), data
+
+
+@given(st.one_of(_mutated_config(), _mutated_config(), _random_config()))
+def test_config_boundary_fuzz(case):
+    """No config, however malformed, crashes the CLI: it exits 0-3 with
+    at most one stderr line per run and never a traceback."""
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg),
+                         "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    runs = 1
+    members = data.get("experiments") if isinstance(data, dict) else None
+    if command == "batch" and isinstance(members, list):
+        runs = max(1, len(members))
+    assert err.count("\n") <= runs, err
 
 
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
