@@ -19,12 +19,12 @@ from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, character_phase,
                        is_minimal, orbit, reduce_to_fundamental, rotate,
                        weyl_sum, zero_point)
 from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
-                  DiscrepancySummary, PAdicBall, SparseAdele, VolumeElement,
+                  DiscrepancySummary, PAdicBall, VolumeElement,
                   WeightedBoxSet, allowable_volume, box_lift_count,
                   character_volume_identity, choose_n, construct_base,
                   construct_brs, construct_witness, count_coset_in_interval,
                   decompose_volume, discrepancy_series, enumerate_volumes,
-                  multiplicity, reduce_to_finite, restrict, special_gamma,
+                  multiplicity, reduce_to_finite, special_gamma,
                   witness_flags)
 from .cutproject import (CutPoint, correspondence_check, generate_cutproject,
                          window_multiplicity)
@@ -43,12 +43,12 @@ __all__ = [
     "as_lattice", "character_phase", "is_minimal", "orbit",
     "reduce_to_fundamental", "rotate", "weyl_sum", "zero_point",
     "AdelicBox", "BRSConstruction", "DiscrepancyRecord",
-    "DiscrepancySummary", "PAdicBall", "SparseAdele", "VolumeElement",
+    "DiscrepancySummary", "PAdicBall", "VolumeElement",
     "WeightedBoxSet", "allowable_volume", "box_lift_count",
     "character_volume_identity", "choose_n", "construct_base",
     "construct_brs", "construct_witness", "count_coset_in_interval",
     "decompose_volume", "discrepancy_series", "enumerate_volumes",
-    "multiplicity", "reduce_to_finite", "restrict", "special_gamma",
+    "multiplicity", "reduce_to_finite", "special_gamma",
     "witness_flags",
     "CutPoint", "correspondence_check", "generate_cutproject",
     "window_multiplicity",

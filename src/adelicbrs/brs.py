@@ -23,14 +23,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (CertificateFailure, ConditionViolated, FieldMismatch,
                      NegativeIndicator, NegativeVolume, PrimeSetMismatch,
                      ZeroGamma)
 from .exact import (ExactReal, PrimeSet, RationalLike, _floor_a_plus_b_sqrt_d,
                     _sign_a_plus_b_sqrt_d, ceil_exact, crt_coset, factorize,
-                    padic_abs, padic_valuation, rational_residue)
+                    padic_abs, padic_valuation)
 from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, fractional_sum,
                        is_minimal, reduce_to_fundamental)
 
@@ -326,11 +326,7 @@ def decompose_volume(alpha: AdeleVector, gamma: RationalLike,
     if xi_target < 0:
         raise NegativeVolume(f"xi' = {xi_target}")
     sign = 1 if g > 0 else -1
-    ell = 1
-    for p in alpha.primes:
-        v = padic_valuation(g, p)
-        if isinstance(v, int):
-            ell = max(ell, -v)
+    ell = max([1, *(-padic_valuation(g, p) for p in alpha.primes)])
     g0 = special_gamma(alpha.primes, sign, ell)
     copies = g / g0
     assert copies.denominator == 1 and copies > 0
@@ -467,40 +463,35 @@ def _lift_counts(boxes: Sequence[AdelicBox], alpha: AdeleVector,
 
     a, b = scaled(x0.real)
     a_step, b_step = scaled(beta)
+    # v = alpha_p - g0 mod p**E_p for the deepest ball exponent E_p at p,
+    # so x_{k,p} = x0_p - (m_k - k*v) mod q = prod_p p**E_p
+    depth: dict[int, int] = {}
+    for box in boxes:
+        for ball in box.balls:
+            depth[ball.p] = max(depth.get(ball.p, 0), -ball.radius_exponent)
+    v, q = crt_coset([(p, -e, alpha.part(p) - g0)
+                      for p, e in depth.items() if e])
+    v, q = v.numerator, q.numerator
     prepared = []
     for box in boxes:
-        # (u + k*v - m_k) % q is the residue of x_{k,p} mod q = p**e,
-        # which is all a ball of radius p**-e sees of it
-        mods = tuple(
-            (rational_residue(x0.part(ball.p), ball.p, -ball.radius_exponent),
-             rational_residue(alpha.part(ball.p) - g0, ball.p,
-                              -ball.radius_exponent),
-             ball.p ** -ball.radius_exponent)
-            for ball in box.balls if ball.radius_exponent < 0)
-        prepared.append((box, mods, *scaled(box.lo), *scaled(box.hi), {}))
-
-    def coset(box: AdelicBox, key: tuple[int, ...]) -> tuple[int, int, int]:
-        residues = iter(key)
         c, delta = crt_coset(
             [(ball.p, ball.radius_exponent,
-              ball.center - (next(residues) if ball.radius_exponent < 0
+              ball.center - (x0.part(ball.p) if ball.radius_exponent < 0
                              else 0))
              for ball in box.balls])
         # (end - y - c) / delta = ((E - y_a)*f - g + (E_b - b)*f*sqrt(d)) / r
         f = c.denominator * delta.denominator
-        return (f, c.numerator * den * delta.denominator,
-                den * c.denominator * delta.numerator)
+        prepared.append((f, c.numerator * den * delta.denominator,
+                         den * c.denominator * delta.numerator,
+                         *scaled(box.lo), *scaled(box.hi)))
 
     for k in range(n):
         m = _floor_a_plus_b_sqrt_d(a, b, den, d)
         y_a = a - m * den  # x_{k,real} = (y_a + b*sqrt(d)) / den
+        s = (m - k * v) % q  # each coset at x_k is its coset at x0 plus s
         counts = []
-        for box, mods, lo_a, lo_b, hi_a, hi_b, cache in prepared:
-            key = tuple((u + k * v - m) % q for u, v, q in mods)
-            entry = cache.get(key)
-            if entry is None:
-                entry = cache[key] = coset(box, key)
-            f, g, r = entry
+        for f, g, r, lo_a, lo_b, hi_a, hi_b in prepared:
+            g += s * f * den
             lo = _floor_a_plus_b_sqrt_d(g - (lo_a - y_a) * f,
                                         (b - lo_b) * f, r, d)
             hi = _floor_a_plus_b_sqrt_d(g - (hi_a - y_a) * f,
@@ -531,9 +522,13 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     is the unique reduction that iterating rotate would reach.  So a
     step costs one exact floor, an integer square root on numerators
     over one common denominator.  A ball of radius p**-e sees x_{k,p}
-    only through its residue mod p**e, so each box's CRT coset is
-    cached per residue tuple and crt_coset runs only on a miss; the real
-    interval is then counted by two exact integer ceilings.  D_N and the
+    only through its residue mod p**e, and x_{k,p} - x0_p = k*(alpha_p -
+    g0) - m_k.  With q = prod_p p**E_p for the deepest such e = E_p at
+    each p, and one integer v = alpha_p - g0 mod p**E_p for every p, each
+    box's CRT coset at x_k is its coset at x0 shifted by the integer
+    (m_k - k*v) mod q, whose multiples of q lie in every box's lattice.
+    So crt_coset runs once per box and once for v; the real interval is
+    then counted by two exact integer ceilings.  D_N and the
     running sup are kept as integer pairs (P + Q*sqrt(d)) / c over the
     denominator c of |A| and compared by exact sign tests, so an
     ExactReal is built only at checkpoints.  Nothing is rounded, so the
@@ -617,46 +612,16 @@ def witness_flags(alpha: AdeleVector, boxset: WeightedBoxSet,
 # --- reduction from infinite prime sets ------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SparseAdele:
-    """A rotation on the full adelic torus (all primes), given by its
-    real coordinate, the finitely many non-integral or otherwise
-    explicit p-adic coordinates; every remaining coordinate is taken to
-    be p-integral (0)."""
-
-    real: ExactReal
-    support: tuple[tuple[int, Fraction], ...]
-
-    def __init__(self, real, support=()):
-        if not isinstance(real, ExactReal):
-            real = ExactReal.from_rational(real)
-        items = dict(support)
-        packed = tuple(
-            (p, Fraction(items[p])) for p in PrimeSet(items))
-        object.__setattr__(self, "real", real)
-        object.__setattr__(self, "support", packed)
-
-    def coordinate(self, p: int) -> Fraction:
-        for q, x in self.support:
-            if q == p:
-                return x
-        return Fraction(0)
-
-
-def reduce_to_finite(alpha: SparseAdele, gamma: RationalLike) -> PrimeSet:
-    """The finite prime set that carries all of the construction data
-    for (alpha, gamma): primes where either |alpha_p|_p > 1 or
-    |gamma|_p > 1.  Outside it every fractional part in the volume
-    series vanishes, so the BRS problem restricts losslessly."""
-    g = Fraction(gamma)
-    candidates = {p for p, _ in alpha.support}
-    candidates.update(factorize(g.denominator) if g.denominator > 1 else {})
-    keep = [p for p in candidates
-            if padic_abs(alpha.coordinate(p), p) > 1 or padic_abs(g, p) > 1]
-    return PrimeSet(keep)
-
-
-def restrict(alpha: SparseAdele, primes: Iterable[int]) -> AdeleVector:
-    """Finite-dimensional view of a sparse rotation."""
-    ps = PrimeSet(primes)
-    return AdeleVector(ps, alpha.real, {p: alpha.coordinate(p) for p in ps})
+def reduce_to_finite(real: ExactReal, parts: Mapping[int, Fraction],
+                     gamma: RationalLike) -> AdeleVector:
+    """A rotation on the full adelic torus (all primes), given by its real
+    coordinate and the finitely many p-adic coordinates in parts (every
+    other one is 0), restricted to the finite prime set that carries all
+    of the construction data for gamma: the primes of gamma's
+    denominator and the p with |alpha_p|_p > 1.  Outside it every
+    fractional part in the volume series vanishes, so the BRS problem
+    restricts losslessly."""
+    primes = PrimeSet([*factorize(Fraction(gamma).denominator),
+                       *(p for p, x in parts.items()
+                         if padic_valuation(x, p) < 0)])
+    return AdeleVector(primes, real, {p: parts.get(p, 0) for p in primes})

@@ -269,14 +269,7 @@ class ExactReal:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
-                 c: int = 1, d: int = 0):
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            fa, fb = Fraction(a), Fraction(b)
-            lcm = math.lcm(fa.denominator, fb.denominator)
-            a = fa.numerator * (lcm // fa.denominator)
-            b = fb.numerator * (lcm // fb.denominator)
-            c = lcm * c
+    def __init__(self, a: int = 0, b: int = 0, c: int = 1, d: int = 0):
         if c == 0:
             raise ZeroDivisionError("zero denominator in ExactReal")
         if d < 0:
@@ -339,11 +332,6 @@ class ExactReal:
 
     def is_integer(self) -> bool:
         return self.b == 0 and self.c == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
 
     def sign(self) -> int:
         return _sign_a_plus_b_sqrt_d(self.a, self.b, self.d)

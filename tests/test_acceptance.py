@@ -13,13 +13,13 @@ from fractions import Fraction
 from random import Random
 
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
-                       PrimeSet, SparseAdele, WeightedBoxSet, factorize,
+                       PrimeSet, WeightedBoxSet, factorize,
                        allowable_volume, character_phase,
                        character_volume_identity, choose_n, construct_brs,
                        construct_witness, correspondence_check,
                        decompose_volume, discrepancy_series,
                        multiplicity, padic_abs,
-                       reduce_to_finite, reduce_to_fundamental, restrict,
+                       reduce_to_finite, reduce_to_fundamental,
                        special_gamma, weyl_sum, zero_point)
 from conftest import diagonal, random_alpha, random_gamma
 
@@ -194,15 +194,15 @@ def test_criterion_7_weyl_average_bound():
 
 
 def test_criterion_8_infinite_support_reduction():
-    sparse = SparseAdele(SQRT2, {2: Fraction(1, 2), 3: Fraction(5)})
-    primes = reduce_to_finite(sparse, Fraction(1, 2))
-    small = restrict(sparse, primes)
+    parts = {2: Fraction(1, 2), 3: Fraction(5)}
+    small = reduce_to_finite(SQRT2, parts, Fraction(1, 2))
+    primes = small.primes
     w = construct_witness(small, Fraction(1, 2), 1)
     checkpoints = [100, 1000]
     s_small = discrepancy_series(w.result, small, zero_point(primes),
                                  checkpoints)
     big_primes = PrimeSet([2, 3])
-    big = restrict(sparse, big_primes)
+    big = AdeleVector(big_primes, SQRT2, parts)
     wide = w.result.with_extra_primes([3])
     s_big = discrepancy_series(wide, big, zero_point(big_primes),
                                checkpoints)

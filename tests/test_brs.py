@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adelicbrs import brs
 from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
                        ConditionViolated, ExactReal, FieldMismatch,
                        NegativeIndicator, NegativeVolume, PAdicBall, PrimeSet,
-                       SolenoidPoint, SparseAdele, WeightedBoxSet, ZeroGamma,
+                       SolenoidPoint, WeightedBoxSet, ZeroGamma,
                        allowable_volume, box_lift_count,
                        character_volume_identity, choose_n, construct_base,
                        construct_brs, construct_witness,
-                       count_coset_in_interval, decompose_volume,
+                       count_coset_in_interval, crt_coset, decompose_volume,
                        discrepancy_series, enumerate_volumes, multiplicity,
                        orbit, padic_abs, padic_fractional_part,
-                       reduce_to_finite, reduce_to_fundamental, restrict,
+                       reduce_to_finite, reduce_to_fundamental,
                        special_gamma, witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
                       random_gamma)
@@ -499,6 +500,26 @@ def test_discrepancy_series_matches_scalar_route_long(alpha, gamma, n):
         _scalar_series(boxset, alpha, x0, checkpoints)
 
 
+def test_lift_counts_solves_each_coset_once(monkeypatch):
+    # the two_primes construction: a 2**2 * 3**3 box, 108 residue classes
+    alpha = AdeleVector(PrimeSet([2, 3]), ExactReal(1, 1, 2, 5),
+                        {2: Fraction(3, 4), 3: Fraction(2, 3)})
+    boxset = construct_brs(alpha, Fraction(5, 6), 2)
+    calls = []
+
+    def counting(constraints):
+        calls.append(constraints)
+        return crt_coset(constraints)
+
+    monkeypatch.setattr(brs, "crt_coset", counting)
+    counts = []
+    for n in (10, 2000):
+        calls.clear()
+        discrepancy_series(boxset, alpha, zero_point(alpha.primes), [n])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= len(boxset.terms) + 1
+
+
 def test_discrepancy_series_rejects_mixed_fields():
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
     x3 = SolenoidPoint(P2, ExactReal(0, 1, 3, 3))  # sqrt(3)/3
@@ -543,18 +564,18 @@ def test_character_volume_identity_negative_case():
 
 
 def test_reduce_to_finite_drops_integral_coordinates():
-    sparse = SparseAdele(SQRT2, {2: Fraction(1, 2), 3: Fraction(5)})
-    assert reduce_to_finite(sparse, Fraction(1, 2)) == P2
-    assert reduce_to_finite(sparse, Fraction(1, 6)) == PrimeSet([2, 3])
-    assert reduce_to_finite(sparse, Fraction(5)) == P2
-    bare = SparseAdele(SQRT2, {})
-    assert reduce_to_finite(bare, Fraction(7)) == PrimeSet()
+    parts = {2: Fraction(1, 2), 3: Fraction(5)}
+    assert reduce_to_finite(SQRT2, parts, Fraction(1, 2)).primes == P2
+    assert reduce_to_finite(SQRT2, parts, Fraction(1, 6)).primes == \
+        PrimeSet([2, 3])
+    assert reduce_to_finite(SQRT2, parts, Fraction(5)).primes == P2
+    assert reduce_to_finite(SQRT2, {}, Fraction(7)).primes == PrimeSet()
 
 
 def test_restrict_and_equivalence_of_enlarged_prime_set():
-    sparse = SparseAdele(SQRT2, {2: Fraction(1, 2), 3: Fraction(5)})
-    small = restrict(sparse, reduce_to_finite(sparse, Fraction(1, 2)))
-    big = restrict(sparse, PrimeSet([2, 3]))
+    parts = {2: Fraction(1, 2), 3: Fraction(5)}
+    small = reduce_to_finite(SQRT2, parts, Fraction(1, 2))
+    big = AdeleVector(PrimeSet([2, 3]), SQRT2, parts)
     assert small == ALPHA
     assert big.part(3) == 5
     w_small = construct_witness(small, Fraction(1, 2), 1)

@@ -138,12 +138,39 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("construct", dict(WORKED, alpha_padic={"2": "1/2",
                                                     "02": "1/4"})),
             ("verify", dict(WORKED, x0_padic={"2.0": "1"})),
-            ("batch", {"experiments": [{"command": [], "config": WORKED}]})]:
+            ("batch", {"experiments": [{"command": [], "config": WORKED}]}),
+            # a radicand or an infinite_q gamma denominator above 10**12,
+            # which trial division would take hours to factor
+            ("construct", dict(WORKED, alpha_real={
+                "d": 1000000000000000000000007, "b": 1})),
+            ("construct", dict(WORKED, infinite_q=True,
+                               gamma="1/1000000000000000000000007"))]:
         capsys.readouterr()
         code, _ = run(tmp_path, command, config)
         err = capsys.readouterr().err
         assert code == 3, (command, config)
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_duplicate_config_keys_exit_3(tmp_path, capsys):
+    # json.dumps cannot write a key twice, so these are raw JSON texts
+    alpha = '"alpha_real": {"d": 2, "b": 1}'
+    for command, text, key in [
+            ("construct", '{%s, "alpha_padic": {"2": "1/2"}, "gamma": "1/2", '
+                          '"n": 1, "n": 2}' % alpha, "n"),
+            ("construct", '{%s, "alpha_padic": {"2": "1/2", "2": "1/4"}, '
+                          '"gamma": "1/2", "n": 1}' % alpha, "2"),
+            ("batch", '{"experiments": [{"command": "construct", '
+                      '"config": {%s}, "command": "verify"}]}' % alpha,
+             "command")]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3, text
+        assert capsys.readouterr().err == \
+            f"config error: duplicate key {key!r}\n"
 
 
 def _one_line_error(capsys, prefix):

@@ -175,8 +175,6 @@ def test_exact_real_canonical_form():
     assert (w.a, w.b, w.c, w.d) == (1, 2, 3, 3)
     n = ExactReal(1, 1, -2, 2)
     assert n.c == 2 and n.a == -1 and n.b == -1
-    f = ExactReal(Fraction(1, 2), Fraction(1, 3), 1, 5)
-    assert (f.a, f.b, f.c, f.d) == (3, 2, 6, 5)
 
 
 def test_exact_real_rejects_bad_input():
@@ -191,11 +189,7 @@ def test_exact_real_rejects_bad_input():
 def test_exact_real_predicates():
     r2 = ExactReal.sqrt(2)
     assert not r2.is_rational()
-    assert ExactReal.from_rational(Fraction(3, 2)).as_fraction() == \
-        Fraction(3, 2)
     assert ExactReal(4, 0, 2).is_integer()
-    with pytest.raises(ValueError):
-        r2.as_fraction()
 
 
 def test_exact_real_signs_close_values():

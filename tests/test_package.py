@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,20 @@ def test_readme_library_example_runs():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("\n") == 3
+
+
+def test_no_unused_imports():
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    assert name in used, f"{path.name} imports {name} unused"
