@@ -21,11 +21,10 @@ from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, character_phase,
 from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
                   DiscrepancySummary, PAdicBall, VolumeElement,
                   WeightedBoxSet, allowable_volume, box_lift_count,
-                  character_volume_identity, choose_n, construct_base,
-                  construct_brs, construct_witness, count_coset_in_interval,
-                  decompose_volume, discrepancy_series, enumerate_volumes,
-                  multiplicity, reduce_to_finite, special_gamma,
-                  witness_flags)
+                  character_volume_identity, choose_n, construct_brs,
+                  construct_witness, count_coset_in_interval,
+                  discrepancy_series, enumerate_volumes, multiplicity,
+                  reduce_to_finite, witness_flags)
 from .cutproject import (CutPoint, correspondence_check, generate_cutproject,
                          window_multiplicity)
 
@@ -45,11 +44,10 @@ __all__ = [
     "AdelicBox", "BRSConstruction", "DiscrepancyRecord",
     "DiscrepancySummary", "PAdicBall", "VolumeElement",
     "WeightedBoxSet", "allowable_volume", "box_lift_count",
-    "character_volume_identity", "choose_n", "construct_base",
-    "construct_brs", "construct_witness", "count_coset_in_interval",
-    "decompose_volume", "discrepancy_series", "enumerate_volumes",
-    "multiplicity", "reduce_to_finite", "special_gamma",
-    "witness_flags",
+    "character_volume_identity", "choose_n", "construct_brs",
+    "construct_witness", "count_coset_in_interval",
+    "discrepancy_series", "enumerate_volumes", "multiplicity",
+    "reduce_to_finite", "witness_flags",
     "CutPoint", "correspondence_check", "generate_cutproject",
     "window_multiplicity",
     "__version__",

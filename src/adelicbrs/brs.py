@@ -213,18 +213,6 @@ def _lambda_veto(alpha: AdeleVector, g: Fraction, n: int) -> bool:
     return any(lam1 == g * ap for _, ap in alpha.parts)
 
 
-def special_gamma(primes: PrimeSet, sign: int, ell: int) -> Fraction:
-    """The reduced lattice index +-(p_1*...*p_k)**(-ell)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    radical = 1
-    for p in primes:
-        radical *= p
-    return Fraction(sign, radical ** ell)
-
-
 def enumerate_volumes(alpha: AdeleVector, bound: int) -> list[VolumeElement]:
     """All allowable volumes xi in [0, bound] whose index gamma has
     numerator magnitude <= bound and denominator exponents <= bound.
@@ -258,85 +246,6 @@ def enumerate_volumes(alpha: AdeleVector, bound: int) -> list[VolumeElement]:
 # --- construction ---------------------------------------------------------
 
 
-def construct_base(alpha: AdeleVector, sign: int, ell: int,
-                   n: int) -> BRSConstruction:
-    """Build the single-box BRS for the reduced index
-    gamma = +-(p_1*...*p_k)**(-ell) and offset n.
-
-    The box is [0, M*|lam + alpha_real|) x prod_p Ball(0, |lam + alpha_p|_p)
-    where lam = lam1/lam2, lam1 = sum_p {gamma*alpha_p}_p + n,
-    lam2 = -gamma, and M is the integer with
-    prod_p |lam1 + lam2*alpha_p|_p = 1/M.  Its volume is exactly xi and
-    the product identity |lam + alpha_real| * prod_p |lam + alpha_p|_p
-    = xi / M is checked before returning.
-    """
-    if not is_minimal(alpha):
-        raise ValueError("rotation is not minimal; no BRS theory applies")
-    g = special_gamma(alpha.primes, sign, ell)
-    xi = allowable_volume(alpha, g, n)
-    if xi < 0:
-        raise NegativeVolume(f"xi = {xi} for n = {n}")
-    lam1 = fractional_sum(g, alpha) + n
-    lam2 = -g
-    lam = lam1 / lam2
-
-    box_scale = 1
-    balls = []
-    for p, ap in alpha.parts:
-        z = lam1 + lam2 * ap
-        if z == 0:
-            raise ConditionViolated(f"lambda = -alpha_{p}")
-        v = padic_valuation(z, p)
-        if v < 0:
-            raise ConditionViolated(
-                f"lam1 + lam2*alpha_{p} is not {p}-integral")
-        box_scale *= p ** v
-        f = -padic_valuation(lam + ap, p)
-        balls.append(PAdicBall(p, Fraction(0), f))
-
-    real_len = abs(lam + alpha.real) * box_scale
-    box = AdelicBox(ExactReal(0), real_len, tuple(balls))
-
-    # exact consistency of the two volume formulas
-    if not _window(alpha, lam) * box_scale == xi:
-        raise ConditionViolated("volume identity failed")  # pragma: no cover
-
-    result = WeightedBoxSet(((box, 1),), xi, 0, g, n)
-    return BRSConstruction(
-        sign=sign, ell=ell, gamma=g, n=n, lam1=lam1, lam2=lam2, lam=lam,
-        box_scale=box_scale, xi=xi, base_box=box, copies=1, surplus=0,
-        result=result)
-
-
-def decompose_volume(alpha: AdeleVector, gamma: RationalLike,
-                     n: int) -> tuple[int, int, int, int, int]:
-    """Express the target volume xi' for (gamma, n) through the reduced
-    index: returns (sign, ell, n0, copies, surplus) with
-
-        gamma = copies * sign * (p_1*...*p_k)**(-ell),
-        xi'  = copies * xi(sign, ell, n0) + surplus,  surplus an integer.
-
-    ell is the smallest uniform exponent clearing every denominator of
-    gamma (at least 1), and n0 = choose_n for the reduced index.
-    """
-    g = as_lattice(gamma, alpha.primes)
-    if g == 0:
-        raise ZeroGamma("gamma = 0 has no reduced index")
-    xi_target = allowable_volume(alpha, g, n)
-    if xi_target < 0:
-        raise NegativeVolume(f"xi' = {xi_target}")
-    sign = 1 if g > 0 else -1
-    ell = max([1, *(-padic_valuation(g, p) for p in alpha.primes)])
-    g0 = special_gamma(alpha.primes, sign, ell)
-    copies = g / g0
-    assert copies.denominator == 1 and copies > 0
-    n0 = choose_n(alpha, g0)
-    xi0 = allowable_volume(alpha, g0, n0)
-    surplus_exact = xi_target - xi0 * int(copies)
-    assert surplus_exact.is_integer()
-    return sign, ell, n0, int(copies), surplus_exact.floor()
-
-
 def construct_brs(alpha: AdeleVector, gamma: RationalLike,
                   n: int) -> WeightedBoxSet:
     """Bounded remainder set of volume xi(alpha, gamma, n) as a weighted
@@ -354,36 +263,72 @@ def construct_brs(alpha: AdeleVector, gamma: RationalLike,
 
 def construct_witness(alpha: AdeleVector, gamma: RationalLike,
                       n: int) -> BRSConstruction:
-    """Like construct_brs but returns the full construction witness.
+    """Like construct_brs for gamma != 0, with the full witness.
 
-    copies base boxes are fused into one box with the real edge scaled
-    by copies; a (possibly negative) number of full-domain boxes tops
-    the volume up to the target.  Negative full-box weight is certified
-    by the exact floor of the fused box volume, which lower-bounds its
-    lift count at every point of the solenoid.
+    gamma = copies * g0 for the reduced index g0 = +-(p_1*...*p_k)**(-ell),
+    ell >= 1 the smallest uniform exponent clearing gamma's denominator,
+    and n0 = choose_n(alpha, g0).  The base box is
+    [0, M*|lam + alpha_real|) x prod_p Ball(0, |lam + alpha_p|_p) with
+    lam = lam1/lam2, lam1 = sum_p {g0*alpha_p}_p + n0, lam2 = -g0, and M
+    the integer with prod_p |lam1 + lam2*alpha_p|_p = 1/M; its volume is
+    xi(alpha, g0, n0) = M * |lam + alpha_real| * prod_p |lam + alpha_p|_p.
+    copies base boxes are fused into one box with the real edge scaled by
+    copies, and surplus full-domain boxes (an integer, possibly negative)
+    top the volume up to the target xi' = xi(alpha, gamma, n).  Negative
+    full-box weight is certified by the exact floor of the fused box
+    volume, which lower-bounds its lift count at every point.
     """
     g = as_lattice(gamma, alpha.primes)
-    sign, ell, n0, copies, surplus = decompose_volume(alpha, g, n)
-    base = construct_base(alpha, sign, ell, n0)
-    fused = AdelicBox(base.base_box.lo,
-                      base.base_box.lo
-                      + (base.base_box.hi - base.base_box.lo) * copies,
-                      base.base_box.balls)
+    if g == 0:
+        raise ZeroGamma("gamma = 0 has no reduced index")
     xi_target = allowable_volume(alpha, g, n)
+    if xi_target < 0:
+        raise NegativeVolume(f"xi' = {xi_target}")
+    if not is_minimal(alpha):
+        raise ValueError("rotation is not minimal; no BRS theory applies")
+    sign = 1 if g > 0 else -1
+    ell = max([1, *(-padic_valuation(g, p) for p in alpha.primes)])
+    g0 = Fraction(sign, math.prod(alpha.primes) ** ell)
+    copies = g / g0
+    assert copies.denominator == 1 and copies > 0
+    copies = int(copies)
+    n0 = choose_n(alpha, g0)
+    lam1 = fractional_sum(g0, alpha) + n0
+    lam2 = -g0
+    lam = lam1 / lam2
+    xi = alpha.real * lam2 + lam1
+
+    box_scale = 1
+    balls = []
+    for p, ap in alpha.parts:
+        z = lam1 + lam2 * ap
+        if z == 0:
+            raise ConditionViolated(f"lambda = -alpha_{p}")
+        v = padic_valuation(z, p)
+        if v < 0:
+            raise ConditionViolated(
+                f"lam1 + lam2*alpha_{p} is not {p}-integral")
+        box_scale *= p ** v
+        balls.append(PAdicBall(p, Fraction(0), -padic_valuation(lam + ap, p)))
+    base_box = AdelicBox(ExactReal(0), abs(lam + alpha.real) * box_scale,
+                         tuple(balls))
+    # exact consistency of the two volume formulas
+    if not _window(alpha, lam) * box_scale == xi:
+        raise ConditionViolated("volume identity failed")  # pragma: no cover
+
+    fused = AdelicBox(base_box.lo, base_box.hi * copies, base_box.balls)
+    surplus = xi_target - xi * copies
+    assert surplus.is_integer()
+    surplus = surplus.floor()
     terms: list[tuple[AdelicBox, int]] = [(fused, 1)]
-    certificate = 0
     if surplus != 0:
         terms.append((AdelicBox.full_domain(alpha.primes), surplus))
-    if surplus < 0:
-        certificate = fused.volume().floor()
-        if certificate < -surplus:  # pragma: no cover
-            raise CertificateFailure(
-                f"floor(|B'|) = {certificate} < {-surplus}")
+    certificate = fused.volume().floor() if surplus < 0 else 0
     result = WeightedBoxSet(tuple(terms), xi_target, certificate, g, n)
     return BRSConstruction(
-        sign=sign, ell=ell, gamma=base.gamma, n=n0, lam1=base.lam1,
-        lam2=base.lam2, lam=base.lam, box_scale=base.box_scale, xi=base.xi,
-        base_box=base.base_box, copies=copies, surplus=surplus, result=result)
+        sign=sign, ell=ell, gamma=g0, n=n0, lam1=lam1, lam2=lam2, lam=lam,
+        box_scale=box_scale, xi=xi, base_box=base_box, copies=copies,
+        surplus=surplus, result=result)
 
 
 # --- counting and certification -------------------------------------------

@@ -3,9 +3,10 @@
 Subcommands: volumes, construct, verify, cutproject, weyl, batch.
 Every run reads one flat JSON config, writes CSV/text outputs plus a
 machine-readable verdict.json into --out, and exits 0 (all checks pass),
-1 (a verified property failed), 2 (infeasible input), 3 (bad config or
-an output directory that cannot be created), or 4 (internal error: any
-other exception, reported in one line without a traceback).
+1 (a verified property failed), 2 (infeasible input), 3 (bad config, an
+input above its cap, or an output directory that cannot be created), or 4
+(internal error: any other exception, reported in one line without a
+traceback).
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
@@ -41,6 +42,15 @@ DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
 # largest radicand, and under infinite_q gamma denominator, a config may
 # give: both are factored by trial division, about 0.04 s at this size
 MAX_FACTORED = 10**12
+# longest orbit walk verify runs (its last checkpoint): about a minute on
+# configs/two_primes.json at about 6 us per step.  weyl is closed form and
+# takes any N.
+MAX_WALK = 10**7
+# most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
+# and most lattice candidates cutproject counts: on the shipped configs each
+# takes at most about 16 s and 100 MB
+MAX_VOLUMES = 10**5
+MAX_CUTPROJECT = 10**5
 
 EXIT_PASS = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -350,6 +360,11 @@ def write_svg(path: Path, series, logx: bool = False,
 
 
 def cmd_volumes(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+    k = len(cfg.alpha.primes)
+    if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
+        raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
+                          f"than {MAX_VOLUMES} candidate volumes "
+                          f"(bound+1)**{k + 1} * (2*bound+1)")
     elements = enumerate_volumes(cfg.alpha, cfg.bound)
     rows = [[str(el.gamma), str(el.n), el.value.exact_str(),
              el.value.decimal_str()] for el in elements]
@@ -398,6 +413,9 @@ def cmd_construct(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+    if cfg.checkpoints[-1] > MAX_WALK:
+        raise ConfigError(f"last checkpoint {cfg.checkpoints[-1]} is above "
+                          f"{MAX_WALK}, the longest orbit walk verify runs")
     if cfg.control_box is not None:
         box = cfg.control_box
         boxset = WeightedBoxSet(((box, 1),), box.volume(), 0)
@@ -456,8 +474,11 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 
 
 def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
-    boxset, info = _construction_verdict(cfg)
     count = cfg.cutproject_n
+    if count > MAX_CUTPROJECT:
+        raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
+                          f"the most candidates cutproject counts")
+    boxset, info = _construction_verdict(cfg)
     primary = boxset.terms[0][0] if boxset.terms else None
     points = (cutproject.generate_cutproject(cfg.alpha, primary, range(count))
               if primary is not None else [])

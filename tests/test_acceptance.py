@@ -9,6 +9,7 @@ arithmetic; nothing here trusts floating point for a decision except
 the Weyl averages, whose bound carries an explicit epsilon.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -17,10 +18,9 @@ from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
                        allowable_volume, character_phase,
                        character_volume_identity, choose_n, construct_brs,
                        construct_witness, correspondence_check,
-                       decompose_volume, discrepancy_series,
-                       multiplicity, padic_abs,
-                       reduce_to_finite, reduce_to_fundamental,
-                       special_gamma, weyl_sum, zero_point)
+                       discrepancy_series, multiplicity, padic_abs,
+                       reduce_to_finite, reduce_to_fundamental, weyl_sum,
+                       zero_point)
 from conftest import diagonal, random_alpha, random_gamma
 
 P2 = PrimeSet([2])
@@ -163,12 +163,13 @@ def test_criterion_6_exact_identity_suites():
         n = rng.randint(-2, 6)
         if gamma == 0 or allowable_volume(alpha, gamma, n) < 0:
             continue
-        sign, ell, n0, copies, surplus = decompose_volume(alpha, gamma, n)
-        gs = special_gamma(alpha.primes, sign, ell)
-        xi0 = allowable_volume(alpha, gs, n0)
+        w = construct_witness(alpha, gamma, n)
+        xi0 = allowable_volume(alpha, w.gamma, w.n)
         ok = ok and allowable_volume(alpha, gamma, n) == \
-            xi0 * copies + surplus
-        ok = ok and xi0 >= 0 and copies >= 1
+            xi0 * w.copies + w.surplus
+        ok = ok and xi0 >= 0 and w.copies >= 1
+        ok = ok and w.gamma == w.sign * Fraction(
+            1, math.prod(alpha.primes) ** w.ell)
         done += 1
     check(6, "identity suites (product formula, characters, volume "
              "identity, decomposition), 1000 exact cases each", ok)

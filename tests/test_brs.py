@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from adelicbrs import brs
 from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
-                       ConditionViolated, ExactReal, FieldMismatch,
-                       NegativeIndicator, NegativeVolume, PAdicBall, PrimeSet,
-                       SolenoidPoint, WeightedBoxSet, ZeroGamma,
-                       allowable_volume, box_lift_count,
-                       character_volume_identity, choose_n, construct_base,
+                       ExactReal, FieldMismatch, NegativeIndicator,
+                       NegativeVolume, PAdicBall, PrimeSet, SolenoidPoint,
+                       WeightedBoxSet, ZeroGamma, allowable_volume,
+                       box_lift_count, character_volume_identity, choose_n,
                        construct_brs, construct_witness,
-                       count_coset_in_interval, crt_coset, decompose_volume,
+                       count_coset_in_interval, crt_coset,
                        discrepancy_series, enumerate_volumes, multiplicity,
                        orbit, padic_abs, padic_fractional_part,
                        reduce_to_finite, reduce_to_fundamental,
-                       special_gamma, witness_flags, zero_point)
+                       witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
                       random_gamma)
 
@@ -116,11 +115,18 @@ def test_allowable_volume_worked_values():
 
 
 def test_special_gamma():
-    assert special_gamma(P2, 1, 1) == Fraction(1, 2)
-    assert special_gamma(P2, -1, 2) == Fraction(-1, 4)
-    assert special_gamma(PrimeSet([2, 3]), 1, 2) == Fraction(1, 36)
-    assert special_gamma(PrimeSet(), 1, 1) == 1
-    assert special_gamma(PrimeSet(), -1, 3) == -1
+    # the reduced index +-(p_1*...*p_k)**(-ell) a witness is built from
+    two = AdeleVector(PrimeSet([2, 3]), ExactReal(1, 1, 2, 5),
+                      {2: Fraction(3, 4), 3: Fraction(2, 3)})
+    circle = AdeleVector(PrimeSet(), SQRT2, {})
+    for alpha, gamma, reduced, ell in [
+            (ALPHA, Fraction(1, 2), Fraction(1, 2), 1),
+            (ALPHA, Fraction(-1, 4), Fraction(-1, 4), 2),
+            (two, Fraction(1, 36), Fraction(1, 36), 2),
+            (circle, Fraction(1), 1, 1),
+            (circle, Fraction(-1), -1, 1)]:
+        w = construct_witness(alpha, gamma, choose_n(alpha, gamma))
+        assert w.gamma == reduced and w.ell == ell
 
 
 def test_choose_n_matches_brute_scan():
@@ -156,7 +162,7 @@ def test_enumerate_volumes():
 
 
 def test_construct_base_worked_example():
-    base = construct_base(ALPHA, 1, 1, 1)
+    base = construct_witness(ALPHA, Fraction(1, 2), 1)
     assert base.gamma == Fraction(1, 2)
     assert base.lam1 == Fraction(5, 4)
     assert base.lam2 == Fraction(-1, 2)
@@ -174,37 +180,45 @@ def test_construct_base_worked_example():
 
 
 def test_construct_base_box_scale_above_one():
-    # alpha_2 = 4 with n = 6: lam = -12, lam + alpha_2 = -8 has
-    # 2-adic size 1/8, and the box scale comes out to 4
-    alpha = AdeleVector(P2, SQRT2, {2: Fraction(4)})
-    base = construct_base(alpha, 1, 1, 6)
-    assert base.lam == -12
+    # alpha_2 = 8 with gamma = -1/2: n0 = 0 and lam = 0, lam + alpha_2 = 8
+    # has 2-adic size 1/8, and the box scale comes out to 4
+    alpha = AdeleVector(P2, SQRT2, {2: Fraction(8)})
+    base = construct_witness(alpha, Fraction(-1, 2), 0)
+    assert base.n == 0
+    assert base.lam == 0
     assert base.box_scale == 4
     ball = base.base_box.balls[0]
     assert ball.radius_exponent == -3
-    assert base.base_box.hi == ExactReal(48, -4, 1, 2)
+    assert base.base_box.hi == ExactReal(0, 4, 1, 2)
     assert base.base_box.volume() == base.xi
-    assert base.xi == ExactReal(12, -1, 2, 2)
+    assert base.xi == ExactReal(0, 1, 2, 2)
 
 
-def test_construct_base_condition_violated():
-    # n = 2 makes lam + alpha_2 vanish
-    alpha = AdeleVector(P2, SQRT2, {2: Fraction(4)})
-    with pytest.raises(ConditionViolated):
-        construct_base(alpha, 1, 1, 2)
+def test_construct_witness_skips_vetoed_n():
+    # with alpha_2 = 2 and gamma = 1/2, n = 1 would give lam1 = gamma *
+    # alpha_2, so lam + alpha_2 would vanish: choose_n skips it
+    alpha = AdeleVector(P2, SQRT2, {2: Fraction(2)})
+    w = construct_witness(alpha, Fraction(1, 2), 1)
+    assert w.n == 2
+    assert w.lam == -4
+    assert all(witness_flags(alpha, w.result, w).values())
 
 
 def test_construct_base_rejects_negative_volume():
     with pytest.raises(NegativeVolume):
-        construct_base(ALPHA, 1, 1, 0)
+        construct_witness(ALPHA, Fraction(1, 2), 0)
+
+
+def _decomposition(w):
+    return w.sign, w.ell, w.n, w.copies, w.surplus
 
 
 def test_decompose_volume_worked_example():
-    sign, ell, n0, copies, surplus = decompose_volume(
-        ALPHA, Fraction(3, 2), 2)
+    sign, ell, n0, copies, surplus = _decomposition(
+        construct_witness(ALPHA, Fraction(3, 2), 2))
     assert (sign, ell, n0, copies, surplus) == (1, 1, 1, 3, -1)
-    sign, ell, n0, copies, surplus = decompose_volume(
-        ALPHA, Fraction(1, 2), 1)
+    sign, ell, n0, copies, surplus = _decomposition(
+        construct_witness(ALPHA, Fraction(1, 2), 1))
     assert (sign, ell, n0, copies, surplus) == (1, 1, 1, 1, 0)
 
 
@@ -220,10 +234,11 @@ def test_decompose_volume_round_trip_seeded():
         xi = allowable_volume(alpha, gamma, n)
         if xi < 0:
             with pytest.raises(NegativeVolume):
-                decompose_volume(alpha, gamma, n)
+                construct_witness(alpha, gamma, n)
             continue
-        sign, ell, n0, copies, surplus = decompose_volume(alpha, gamma, n)
-        gs = special_gamma(alpha.primes, sign, ell)
+        w = construct_witness(alpha, gamma, n)
+        sign, ell, n0, copies, surplus = _decomposition(w)
+        gs = w.gamma
         assert gamma == copies * gs or alpha.primes == PrimeSet()
         assert copies >= 1
         xi0 = allowable_volume(alpha, gs, n0)
@@ -233,9 +248,9 @@ def test_decompose_volume_round_trip_seeded():
 
 def test_decompose_volume_guards():
     with pytest.raises(ZeroGamma):
-        decompose_volume(ALPHA, Fraction(0), 1)
+        construct_witness(ALPHA, Fraction(0), 1)
     with pytest.raises(NegativeVolume):
-        decompose_volume(ALPHA, Fraction(1, 2), -1)
+        construct_witness(ALPHA, Fraction(1, 2), -1)
 
 
 def test_construct_brs_gamma_zero():

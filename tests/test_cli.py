@@ -83,10 +83,13 @@ def test_verify_control_box_exits_nonzero(tmp_path):
     assert v["pass"] is False
 
 
-def test_infeasible_negative_volume_exits_2(tmp_path):
+def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     config = dict(WORKED, n=-5)
+    capsys.readouterr()
     code, _ = run(tmp_path, "construct", config)
     assert code == 2
+    assert capsys.readouterr().err == \
+        "infeasible: xi' = ExactReal(-19/4 - (1/2)*sqrt(2))\n"
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -144,7 +147,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("construct", dict(WORKED, alpha_real={
                 "d": 1000000000000000000000007, "b": 1})),
             ("construct", dict(WORKED, infinite_q=True,
-                               gamma="1/1000000000000000000000007"))]:
+                               gamma="1/1000000000000000000000007")),
+            # work with no other bound, each just above its cap: an orbit
+            # walk, the (bound+1)**(|Q|+1) * (2*bound+1) candidate volumes
+            # over Q = {2} and Q = {}, the cut-and-project candidates
+            ("verify", dict(WORKED, checkpoints=[cli.MAX_WALK + 1])),
+            ("volumes", dict(WORKED, bound=37)),
+            ("volumes", dict(WORKED, alpha_padic={}, gamma="1", bound=223)),
+            ("cutproject", dict(WORKED,
+                                cutproject_n=cli.MAX_CUTPROJECT + 1))]:
         capsys.readouterr()
         code, _ = run(tmp_path, command, config)
         err = capsys.readouterr().err
@@ -377,6 +388,10 @@ def test_weyl_bound_holds(tmp_path):
     assert all(line.endswith(",pass") for line in lines[1:])
     v = read_verdict(out)
     assert v["flags"]["bound_satisfied"] is True
+    # the Weyl sum is closed form, so the orbit walk cap does not apply
+    code, out = run(tmp_path / "far", "weyl",
+                    dict(WORKED, checkpoints=[10**11]))
+    assert code == 0 and read_verdict(out)["pass"] is True
 
 
 def test_weyl_trivial_gamma_exits_2(tmp_path):

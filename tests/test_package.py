@@ -41,3 +41,33 @@ def test_no_unused_imports():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     assert name in used, f"{path.name} imports {name} unused"
+
+
+def test_no_unused_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__"):
+                    assert private in used, f"{name} defines {private} unused"
