@@ -126,7 +126,8 @@ class WeightedBoxSet:
             raise CertificateFailure(
                 f"certificate {self.certificate} below negative mass {neg}")
         if self.claimed_volume < 0:
-            raise NegativeVolume(f"claimed volume {self.claimed_volume}")
+            raise NegativeVolume(
+                f"claimed volume {self.claimed_volume.exact_str()}")
 
     def volume_consistent(self) -> bool:
         total = ExactReal(0)
@@ -283,7 +284,7 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
         raise ZeroGamma("gamma = 0 has no reduced index")
     xi_target = allowable_volume(alpha, g, n)
     if xi_target < 0:
-        raise NegativeVolume(f"xi' = {xi_target}")
+        raise NegativeVolume(f"xi' = {xi_target.exact_str()}")
     if not is_minimal(alpha):
         raise ValueError("rotation is not minimal; no BRS theory applies")
     sign = 1 if g > 0 else -1

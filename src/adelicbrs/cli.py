@@ -47,8 +47,8 @@ MAX_FACTORED = 10**12
 # takes any N.
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
-# and most lattice candidates cutproject counts: on the shipped configs each
-# takes at most about 16 s and 100 MB
+# and most lattice candidates cutproject counts: on the shipped configs
+# volumes takes at most about 16 s and 100 MB, cutproject about 1 s and 55 MB
 MAX_VOLUMES = 10**5
 MAX_CUTPROJECT = 10**5
 
@@ -479,12 +479,9 @@ def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
         raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
                           f"the most candidates cutproject counts")
     boxset, info = _construction_verdict(cfg)
-    primary = boxset.terms[0][0] if boxset.terms else None
-    points = (cutproject.generate_cutproject(cfg.alpha, primary, range(count))
-              if primary is not None else [])
+    points, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     write_csv(outdir / "cutpoints.csv", ["gamma1", "multiplicity"],
               [[str(pt.gamma1), str(pt.multiplicity)] for pt in points])
-    agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     write_verdict(outdir, {
         "command": "cutproject", "seed": cfg.seed, "count": count,
         "points": len(points), "pass": agrees,

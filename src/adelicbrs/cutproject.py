@@ -12,8 +12,12 @@ counts of brs: the admissible coset's base point is the negated sum of
 p-adic fractional parts, not a CRT solution, so the agreement of the two
 is a meaningful end-to-end check rather than a tautology.  Only the real
 edge shares a helper with brs, the exact floor that test_exact checks
-against a bisection.  correspondence_check runs the window count against
-the closed-form orbit kernel behind verify's discrepancy series.
+against a bisection.  window_multiplicity counts one gamma1 from
+scratch and is the tests' oracle.  correspondence_check counts the
+integer candidates gamma1 = 0..n-1 incrementally, taking the fractional
+parts once per box, so a candidate costs one integer residue and two
+exact floors per box; it compares those counts in one pass with the
+closed-form orbit kernel behind verify's discrepancy series.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 from . import brs
 from .brs import AdelicBox, WeightedBoxSet
@@ -69,27 +73,72 @@ def window_multiplicity(window: AdelicBox, alpha: AdeleVector,
     return max(0, neg_lo - neg_hi)
 
 
+def _window_counts(window: AdelicBox, alpha: AdeleVector,
+                   n: int) -> Iterator[int]:
+    """Yield window_multiplicity(window, alpha, k) for k = 0, ..., n-1.
+
+    Only eta mod 1 moves the count, and for an integer k
+    {k*x + y}_p = k*{x}_p + {y}_p mod 1.  So with F0 = sum_p {-c_p/s}_p and
+    F1 = sum_p {alpha_p/s}_p over one p-power denominator q, the k-th base
+    point is eta_k = -(F0 + k*F1) mod 1, one integer residue, and
+    x = k*alpha_real moves both edge numerators by a fixed integer pair.
+    """
+    radii = [(ball.p, ball.radius_exponent) for ball in window.balls]
+    num = math.prod(p ** -f for p, f in radii if f < 0)
+    den = math.prod(p ** f for p, f in radii if f > 0)
+    s = Fraction(num, den)
+    f0 = sum(padic_fractional_part(-ball.center / s, ball.p)
+             for ball in window.balls)
+    f1 = sum(padic_fractional_part(alpha.part(ball.p) / s, ball.p)
+             for ball in window.balls)
+    q = math.lcm(f0.denominator, f1.denominator)
+    e0, e1 = (f.numerator * (q // f.denominator) for f in (f0, f1))
+    a, lo, hi = alpha.real, window.lo, window.hi
+    # floor((x - end)/s + e/q) over the denominator r*num*q, as in
+    # window_multiplicity, with x, end = X/r, E/r
+    r = math.lcm(a.c, lo.c, hi.c)
+    step_a, step_b = (v * den * q * (r // a.c) for v in (a.a, a.b))
+    lo_a, lo_b, hi_a, hi_b = (-v * den * q * (r // end.c)
+                              for end in (lo, hi) for v in (end.a, end.b))
+    rn, c = r * num, r * num * q
+
+    def field(d: int) -> int:
+        for end in (lo, hi):
+            if end.b and end.d != d:
+                raise FieldMismatch(f"cannot mix sqrt({end.d}) with sqrt({d})")
+        return d
+
+    d = field(lo.d or hi.d)  # k = 0 puts no sqrt into x
+    for k in range(n):
+        if k == 1 and a.b:
+            d = field(a.d)
+        xa = k * step_a + -(e0 + k * e1) % q * rn
+        xb = k * step_b
+        yield max(0, _floor_a_plus_b_sqrt_d(lo_a + xa, lo_b + xb, c, d)
+                  - _floor_a_plus_b_sqrt_d(hi_a + xa, hi_b + xb, c, d))
+
+
 @dataclass(frozen=True, slots=True)
 class CutPoint:
-    gamma1: Fraction
+    gamma1: int
     multiplicity: int
 
 
-def generate_cutproject(alpha: AdeleVector, window: AdelicBox,
-                        candidates: Iterable[RationalLike]) -> list[CutPoint]:
-    """Scan candidate gamma1 values and keep those selected by the
-    window, with multiplicity."""
-    return [CutPoint(g1, m) for g1 in map(Fraction, candidates)
-            if (m := window_multiplicity(window, alpha, g1)) > 0]
-
-
 def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,
-                         n: int) -> bool:
-    """Compare, for gamma1 = 0..n-1 and every box of the set, the
-    cut-and-project multiplicity against the lift count brs computes at
-    the projected orbit point.  True iff they agree everywhere."""
+                         n: int) -> tuple[list[CutPoint], bool]:
+    """Count, for gamma1 = 0..n-1 and every box of the set, the
+    cut-and-project multiplicity and compare it with the lift count brs
+    computes at the projected orbit point, in one pass.
+
+    Returns the points gamma1 the primary (first) box selects, with
+    their multiplicity, and whether the two counts agree everywhere.
+    """
     boxes = [box for box, _ in boxset.terms]
-    counts = brs._lift_counts(boxes, alpha, zero_point(alpha.primes), n)
-    return all(window_multiplicity(box, alpha, g1) == count
-               for g1, terms in enumerate(counts)
-               for box, count in zip(boxes, terms))
+    lifts = brs._lift_counts(boxes, alpha, zero_point(alpha.primes), n)
+    windows = zip(*(_window_counts(box, alpha, n) for box in boxes))
+    points, agrees = [], True
+    for k, (terms, counts) in enumerate(zip(lifts, windows)):
+        agrees = agrees and terms == counts
+        if counts[0]:
+            points.append(CutPoint(k, counts[0]))
+    return points, agrees

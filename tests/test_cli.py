@@ -3,6 +3,7 @@ import copy
 import importlib
 import io
 import json
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -89,7 +90,7 @@ def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "construct", config)
     assert code == 2
     assert capsys.readouterr().err == \
-        "infeasible: xi' = ExactReal(-19/4 - (1/2)*sqrt(2))\n"
+        "infeasible: xi' = -19/4 - (1/2)*sqrt(2)\n"
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -409,6 +410,59 @@ def test_cutproject_correspondence(tmp_path):
     v = read_verdict(out)
     assert v["flags"]["correspondence"] is True
     assert v["count"] == 120
+
+
+def test_cutproject_exits_1_on_a_bumped_lift_count(tmp_path, monkeypatch):
+    lift_counts = cli.cutproject.brs._lift_counts
+
+    def bumped(*args):
+        for k, terms in enumerate(lift_counts(*args)):
+            yield (terms[0] + (k == 7), *terms[1:])
+
+    monkeypatch.setattr(cli.cutproject.brs, "_lift_counts", bumped)
+    code, out = run(tmp_path, "cutproject", dict(WORKED, cutproject_n=20))
+    assert code == 1
+    v = read_verdict(out)
+    assert v["flags"]["correspondence"] is False
+    assert v["pass"] is False
+
+
+def test_cutproject_counts_each_window_once(tmp_path, monkeypatch):
+    config = dict(WORKED, cutproject_n=200)
+    code, plain = run(tmp_path / "plain", "cutproject", config, "--svg")
+    assert code == 0
+
+    def oracle(*_):
+        raise AssertionError("window_multiplicity is only a test oracle")
+
+    monkeypatch.setattr(cli.cutproject, "window_multiplicity", oracle)
+    code, out = run(tmp_path / "patched", "cutproject", config, "--svg")
+    assert code == 0
+    for name in ("cutpoints.csv", "cutpoints.svg", "verdict.json"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_cutproject_setup_does_not_grow_with_count(tmp_path, monkeypatch):
+    orig = cli.cutproject.padic_fractional_part
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("adelicbrs") and \
+                getattr(mod, "padic_fractional_part", None) is orig:
+            monkeypatch.setattr(mod, "padic_fractional_part", counted)
+    made = []
+    for count in (10, 200):
+        calls.clear()
+        code, _ = run(tmp_path / str(count), "cutproject",
+                      dict(WORKED, cutproject_n=count))
+        assert code == 0
+        made.append(len(calls))
+    assert made[0] > 0
+    assert made[0] == made[1]
 
 
 def test_batch_fans_out_and_aggregates(tmp_path):

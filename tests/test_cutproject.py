@@ -6,10 +6,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
-                       PrimeSet, box_lift_count, choose_n,
-                       construct_witness, correspondence_check,
-                       generate_cutproject, orbit, window_multiplicity,
-                       zero_point)
+                       PrimeSet, WeightedBoxSet, box_lift_count, brs,
+                       choose_n, construct_witness, correspondence_check,
+                       orbit, window_multiplicity, zero_point)
+from adelicbrs.cutproject import _window_counts
 from adelicbrs.errors import FieldMismatch
 from adelicbrs.exact import crt_coset
 from conftest import lift_count_oracle, random_alpha, random_gamma, val
@@ -50,12 +50,20 @@ def _count_direct(box, alpha, gamma1):
     return lift_count_oracle(box, alpha.scale(Fraction(gamma1)))
 
 
-def test_generate_cutproject_scans_candidates():
+def test_correspondence_points_scan_candidates():
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
     box = w.result.terms[0][0]
-    pts = generate_cutproject(ALPHA, box, range(10))
+    pts, agrees = correspondence_check(w.result, ALPHA, 10)
+    assert agrees is True
     assert [(p.gamma1, p.multiplicity) for p in pts] == \
         [(0, 1), (1, 1), (3, 1), (5, 1), (7, 1), (9, 1)]
+    # the points are the primary box's nonzero window counts, candidate
+    # by candidate
+    pts, agrees = correspondence_check(w.result, ALPHA, 200)
+    assert agrees is True
+    assert [(p.gamma1, p.multiplicity) for p in pts] == [
+        (g1, m) for g1 in range(200)
+        if (m := window_multiplicity(box, ALPHA, g1)) > 0]
     # multiplicities are always positive in the emitted list
     assert all(p.multiplicity > 0 for p in pts)
 
@@ -69,9 +77,11 @@ def test_cutproject_counts_match_lift_counts_along_orbit():
 
 def test_correspondence_check_worked_example():
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
-    assert correspondence_check(w.result, ALPHA, 150)
+    _, agrees = correspondence_check(w.result, ALPHA, 150)
+    assert agrees is True
     w2 = construct_witness(ALPHA, Fraction(3, 2), 2)
-    assert correspondence_check(w2.result, ALPHA, 60)
+    _, agrees = correspondence_check(w2.result, ALPHA, 60)
+    assert agrees is True
 
 
 def test_correspondence_check_seeded_constructions():
@@ -84,7 +94,8 @@ def test_correspondence_check_seeded_constructions():
             continue
         n = choose_n(alpha, gamma)
         w = construct_witness(alpha, gamma, n)
-        assert correspondence_check(w.result, alpha, 25)
+        _, agrees = correspondence_check(w.result, alpha, 25)
+        assert agrees is True
         done += 1
 
 
@@ -168,3 +179,101 @@ def test_window_multiplicity_rejects_mixed_fields():
         window_multiplicity(box, ALPHA, 1)
     # gamma1 = 0 puts no sqrt(2) into the shift, so nothing is mixed
     assert window_multiplicity(box, ALPHA, 0) == _count_direct(box, ALPHA, 0)
+
+
+def _oracle_counts(box, alpha, n):
+    """window_multiplicity for gamma1 = 0..n-1, up to the first
+    FieldMismatch, which is recorded as the last entry."""
+    out = []
+    for k in range(n):
+        try:
+            out.append(window_multiplicity(box, alpha, k))
+        except FieldMismatch:
+            return out + [FieldMismatch]
+    return out
+
+
+def _incremental_counts(box, alpha, n):
+    out = []
+    try:
+        out.extend(_window_counts(box, alpha, n))
+    except FieldMismatch:
+        out.append(FieldMismatch)
+    return out
+
+
+def _nonzero_center(rng, p):
+    e = rng.randint(0, 2)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 3 * p ** e), p ** e)
+
+
+def test_window_counts_match_window_multiplicity_seeded():
+    rng = Random(45)
+    for primes in (PrimeSet(), PrimeSet([2]), PrimeSet([2, 3])):
+        for case in range(40):
+            alpha = AdeleVector(
+                primes, ExactReal(rng.randint(-6, 6), rng.choice((1, -1, 2)),
+                                  rng.randint(1, 5), 2),
+                {p: Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2))
+                 for p in primes})
+            # cycle through negative, zero and positive radius exponents
+            balls = tuple(PAdicBall(p, _nonzero_center(rng, p),
+                                    (case + i) % 5 - 3)
+                          for i, p in enumerate(primes))
+            d = (0, 2, 3)[case % 3]  # ends rational, like alpha, or not
+            lo = ExactReal(rng.randint(-9, 9), rng.randint(-2, 2) if d else 0,
+                           rng.randint(1, 4), d)
+            box = AdelicBox(lo, lo + ExactReal(rng.randint(1, 30), 0,
+                                               rng.randint(1, 3)), balls)
+            for n in (1, 2, 37):
+                assert _incremental_counts(box, alpha, n) == \
+                    _oracle_counts(box, alpha, n)
+
+
+@st.composite
+def counter_cases(draw):
+    """A window over Q = {}, {2} or {2, 3} with nonzero ball centers,
+    radius exponents -3..2, ends rational or in Q(sqrt(2)) like alpha or
+    in Q(sqrt(3)), and a candidate count n >= 1."""
+    primes = PrimeSet(draw(st.sampled_from([(), (2,), (2, 3)])))
+    real = _sqrt2_real(draw, 6)
+    assume(real.b != 0)
+    alpha = AdeleVector(primes, real,
+                        {p: _power_fraction(draw, p, 2) for p in primes})
+    balls = tuple(PAdicBall(p, _power_fraction(draw, p),
+                            draw(st.integers(-3, 2))) for p in primes)
+    assume(all(ball.center != 0 for ball in balls))
+    d = draw(st.sampled_from([0, 2, 3]))
+    lo = ExactReal(draw(st.integers(-50, 50)),
+                   draw(st.integers(-5, 5)) if d else 0,
+                   draw(st.integers(1, 12)), d)
+    width = ExactReal(draw(st.integers(1, 60)), 0, draw(st.integers(1, 4)))
+    return AdelicBox(lo, lo + width, balls), alpha, draw(st.integers(1, 30))
+
+
+@given(counter_cases())
+def test_window_counts_match_window_multiplicity(case):
+    box, alpha, n = case
+    assert _incremental_counts(box, alpha, n) == _oracle_counts(box, alpha, n)
+
+
+def test_correspondence_check_empty_box_set():
+    empty = WeightedBoxSet((), ExactReal(0), 0, Fraction(0), 0)
+    assert correspondence_check(empty, ALPHA, 10) == ([], True)
+
+
+def test_correspondence_check_catches_a_bumped_lift_count(monkeypatch):
+    w = construct_witness(ALPHA, Fraction(1, 2), 1)
+    points, agrees = correspondence_check(w.result, ALPHA, 10)
+    assert agrees is True
+    lift_counts = brs._lift_counts
+
+    def bumped(*args):
+        for k, terms in enumerate(lift_counts(*args)):
+            yield (terms[0] + (k == 3), *terms[1:])
+
+    monkeypatch.setattr(brs, "_lift_counts", bumped)
+    bumped_points, agrees = correspondence_check(w.result, ALPHA, 10)
+    assert agrees is False
+    # the points come from the window counts, not from brs
+    assert bumped_points == points
