@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -383,26 +382,45 @@ class DiscrepancySummary:
     sup_at: int
 
 
-def _lift_counts(boxes: Sequence[AdelicBox], alpha: AdeleVector,
-                 x0: SolenoidPoint, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield, for k = 0, ..., n-1, the tuple of box_lift_count(box, x_k)
-    over the boxes, where x_k is the reduced orbit point x0 + k*alpha.
+def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
+                 x0: SolenoidPoint, n: int) -> Iterator[int]:
+    """Yield, for k = 0, ..., n-1, the weighted lift count
+    sum_i w_i * box_lift_count(box_i, x_k) over the terms, where x_k is
+    the reduced orbit point x0 + k*alpha.
 
     The orbit is taken in closed form on plain integers; see
-    discrepancy_series for why this is exact.
+    discrepancy_series for why this is exact, and why a term whose real
+    length is an integer multiple of its coset spacing needs no floor.
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
-    ends = [end for box in boxes for end in (box.lo, box.hi)]
     d = 0
-    for v in (alpha.real, x0.real, *ends):
+    for v in (alpha.real, x0.real,
+              *(end for box, _ in terms for end in (box.lo, box.hi))):
         if v.d and d and v.d != d:
             raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({v.d})")
         d = d or v.d
+    const = 0  # the total of the terms whose count never moves
+    walked = []  # the other terms, with their coset at x0
+    for box, w in terms:
+        c, delta = crt_coset(
+            [(ball.p, ball.radius_exponent,
+              ball.center - (x0.part(ball.p) if ball.radius_exponent < 0
+                             else 0))
+             for ball in box.balls])
+        width = (box.hi - box.lo) / delta
+        if width.is_integer():
+            const += w * width.a
+        else:
+            walked.append((box, w, c, delta))
+    if not walked:
+        yield from itertools.repeat(const, n)
+        return
     g0 = fractional_sum(1, alpha)
     beta = alpha.real - g0
     # every real number below is (A + B*sqrt(d)) / den
-    den = math.lcm(x0.real.c, beta.c, *(end.c for end in ends))
+    den = math.lcm(x0.real.c, beta.c,
+                   *(end.c for box, *_ in walked for end in (box.lo, box.hi)))
 
     def scaled(v: ExactReal) -> tuple[int, int]:
         return v.a * (den // v.c), v.b * (den // v.c)
@@ -412,38 +430,35 @@ def _lift_counts(boxes: Sequence[AdelicBox], alpha: AdeleVector,
     # v = alpha_p - g0 mod p**E_p for the deepest ball exponent E_p at p,
     # so x_{k,p} = x0_p - (m_k - k*v) mod q = prod_p p**E_p
     depth: dict[int, int] = {}
-    for box in boxes:
+    for box, *_ in walked:
         for ball in box.balls:
             depth[ball.p] = max(depth.get(ball.p, 0), -ball.radius_exponent)
     v, q = crt_coset([(p, -e, alpha.part(p) - g0)
                       for p, e in depth.items() if e])
     v, q = v.numerator, q.numerator
     prepared = []
-    for box in boxes:
-        c, delta = crt_coset(
-            [(ball.p, ball.radius_exponent,
-              ball.center - (x0.part(ball.p) if ball.radius_exponent < 0
-                             else 0))
-             for ball in box.balls])
-        # (end - y - c) / delta = ((E - y_a)*f - g + (E_b - b)*f*sqrt(d)) / r
+    for box, w, c, delta in walked:
+        # (end - y - c) / delta = (G - E*f + (b - E_b)*f*sqrt(d)) / r with
+        # G = g + s*f*den + y_a*f, for x_k = (y_a + b*sqrt(d)) / den
         f = c.denominator * delta.denominator
-        prepared.append((f, c.numerator * den * delta.denominator,
+        (lo_a, lo_b), (hi_a, hi_b) = scaled(box.lo), scaled(box.hi)
+        prepared.append((w, f, f * den, c.numerator * den * delta.denominator,
                          den * c.denominator * delta.numerator,
-                         *scaled(box.lo), *scaled(box.hi)))
+                         lo_a * f, lo_b * f, hi_a * f, hi_b * f))
 
+    floor = _floor_a_plus_b_sqrt_d
     for k in range(n):
-        m = _floor_a_plus_b_sqrt_d(a, b, den, d)
-        y_a = a - m * den  # x_{k,real} = (y_a + b*sqrt(d)) / den
+        m = floor(a, b, den, d)
+        y_a = a - m * den
         s = (m - k * v) % q  # each coset at x_k is its coset at x0 plus s
-        counts = []
-        for f, g, r, lo_a, lo_b, hi_a, hi_b in prepared:
-            g += s * f * den
-            lo = _floor_a_plus_b_sqrt_d(g - (lo_a - y_a) * f,
-                                        (b - lo_b) * f, r, d)
-            hi = _floor_a_plus_b_sqrt_d(g - (hi_a - y_a) * f,
-                                        (b - hi_b) * f, r, d)
-            counts.append(max(0, lo - hi))  # ceil(hi') - ceil(lo')
-        yield tuple(counts)
+        total = const
+        for w, f, fden, g, r, lo_a, lo_b, hi_a, hi_b in prepared:
+            g += s * fden + y_a * f
+            bf = b * f
+            # ceil(hi') - ceil(lo'), never negative as hi > lo
+            total += w * (floor(g - lo_a, bf - lo_b, r, d)
+                          - floor(g - hi_a, bf - hi_b, r, d))
+        yield total
         a += a_step
         b += b_step
 
@@ -474,7 +489,11 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     box's CRT coset at x_k is its coset at x0 shifted by the integer
     (m_k - k*v) mod q, whose multiples of q lie in every box's lattice.
     So crt_coset runs once per box and once for v; the real interval is
-    then counted by two exact integer ceilings.  D_N and the
+    then counted by two exact integer ceilings.  A term needs neither
+    ceiling when its real length is K coset spacings for an integer K,
+    as a full-domain term is with K = 1: the count is ceil(u + K) -
+    ceil(u) = K for every real u, so the term adds w*K at each step
+    without a floor, and its box joins neither q nor the walk.  D_N and the
     running sup are kept as integer pairs (P + Q*sqrt(d)) / c over the
     denominator c of |A| and compared by exact sign tests, so an
     ExactReal is built only at checkpoints.  Nothing is rounded, so the
@@ -487,14 +506,11 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     marks = set(checkpoints)
     vol = boxset.claimed_volume
     va, vb, vc, d = vol.a, vol.b, vol.c, vol.d
-    weights = [w for _, w in boxset.terms]
     acc_a = acc_b = 0  # D_N = (acc_a + acc_b*sqrt(d)) / vc
     sup_a = sup_b = 0  # running sup, likewise
     sup_at = 0
     records = []
-    counts = _lift_counts([box for box, _ in boxset.terms], alpha, x0, goal)
-    for k, terms in enumerate(counts):
-        total = sum(map(operator.mul, weights, terms))
+    for k, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal)):
         if total < 0:
             x = reduce_to_fundamental(x0 + alpha.scale(k))[0]
             raise NegativeIndicator(f"indicator {total} at {x!r}")

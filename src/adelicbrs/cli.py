@@ -3,10 +3,10 @@
 Subcommands: volumes, construct, verify, cutproject, weyl, batch.
 Every run reads one flat JSON config, writes CSV/text outputs plus a
 machine-readable verdict.json into --out, and exits 0 (all checks pass),
-1 (a verified property failed), 2 (infeasible input), 3 (bad config, an
-input above its cap, or an output directory that cannot be created), or 4
-(internal error: any other exception, reported in one line without a
-traceback).
+1 (a verified property failed), 2 (infeasible input), 3 (bad command
+line, bad config, an input above its cap, or an output directory that
+cannot be created), or 4 (internal error: any other exception, reported
+in one line without a traceback).
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
@@ -16,6 +16,7 @@ plain-SVG files and are not part of any verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import cutproject
 from .brs import (AdelicBox, PAdicBall, WeightedBoxSet, construct_brs,
@@ -48,7 +49,7 @@ MAX_FACTORED = 10**12
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
 # and most lattice candidates cutproject counts: on the shipped configs
-# volumes takes at most about 16 s and 100 MB, cutproject about 1 s and 55 MB
+# volumes takes at most about 16 s and 100 MB, cutproject about 1 s and 35 MB
 MAX_VOLUMES = 10**5
 MAX_CUTPROJECT = 10**5
 
@@ -65,6 +66,16 @@ _BROKEN = (CertificateFailure, NegativeIndicator)
 
 class ConfigError(Exception):
     pass
+
+
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, the infeasible-input code
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 # --- config parsing -------------------------------------------------------
@@ -284,7 +295,8 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: Path, header: list[str],
+              rows: Iterable[list[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     write_atomic(path, "\n".join(lines) + "\n")
@@ -481,7 +493,7 @@ def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     boxset, info = _construction_verdict(cfg)
     points, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     write_csv(outdir / "cutpoints.csv", ["gamma1", "multiplicity"],
-              [[str(pt.gamma1), str(pt.multiplicity)] for pt in points])
+              ([str(pt.gamma1), str(pt.multiplicity)] for pt in points))
     write_verdict(outdir, {
         "command": "cutproject", "seed": cfg.seed, "count": count,
         "points": len(points), "pass": agrees,
@@ -606,8 +618,11 @@ def _internal_error(e: Exception) -> int:
     return EXIT_INTERNAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built on first use and then reused: parsing
+    leaves no state in it, as every parse starts from a fresh namespace."""
+    parser = _Parser(
         prog="adelicbrs",
         description="Exact bounded remainder sets on p-adic solenoids")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -643,7 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _dispatch(args)
     except ConfigError as e:

@@ -134,7 +134,9 @@ def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,
     their multiplicity, and whether the two counts agree everywhere.
     """
     boxes = [box for box, _ in boxset.terms]
-    lifts = brs._lift_counts(boxes, alpha, zero_point(alpha.primes), n)
+    x0 = zero_point(alpha.primes)
+    lifts = zip(*(brs._lift_totals([(box, 1)], alpha, x0, n)
+                  for box in boxes))
     windows = zip(*(_window_counts(box, alpha, n) for box in boxes))
     points, agrees = [], True
     for k, (terms, counts) in enumerate(zip(lifts, windows)):

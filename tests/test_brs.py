@@ -535,6 +535,81 @@ def test_lift_counts_solves_each_coset_once(monkeypatch):
     assert counts[0] == counts[1] <= len(boxset.terms) + 1
 
 
+def _floor_calls(monkeypatch):
+    calls = []
+    floor = brs._floor_a_plus_b_sqrt_d
+
+    def counting(*args):
+        calls.append(args)
+        return floor(*args)
+
+    monkeypatch.setattr(brs, "_floor_a_plus_b_sqrt_d", counting)
+    return calls
+
+
+def _scalar_totals(terms, alpha, x0, n):
+    return [sum(w * box_lift_count(box, x) for box, w in terms)
+            for x in orbit(alpha, x0, n)]
+
+
+ALPHA23 = AdeleVector(PrimeSet([2, 3]), ExactReal(1, 1, 2, 5),
+                      {2: Fraction(3, 4), 3: Fraction(2, 3)})
+
+
+def _spaced_box(alpha, a, k, delta):
+    """[a, a + k*delta) times the 2-adic ball of coset spacing delta."""
+    exponent = -(delta.bit_length() - 1)
+    balls = tuple(PAdicBall(p, Fraction(1, 3) if p == 2 else Fraction(0),
+                            exponent if p == 2 else 0)
+                  for p in alpha.primes)
+    return AdelicBox(ExactReal.from_rational(a),
+                     ExactReal.from_rational(a + k * delta), balls)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
+    rng = Random(seed)
+    n = 60
+    walked = construct_brs(ALPHA23, Fraction(5, 6), 2).terms[0]
+    for alpha in (ALPHA, ALPHA23):
+        x0 = _random_start(rng, alpha)
+        full = AdelicBox.full_domain(alpha.primes)
+        sets = [[(full, w)] for w in (1, -3, 2)]
+        sets += [[(_spaced_box(alpha, Fraction(rng.randint(-20, 20),
+                                               rng.randint(1, 9)), k, delta),
+                   rng.choice((1, -3, 2)))]
+                 for k in (1, 2, 4) for delta in (1, 2, 4)]
+        for terms in sets:  # every term has a constant count: no floor
+            calls = _floor_calls(monkeypatch)
+            got = list(brs._lift_totals(terms, alpha, x0, n))
+            assert calls == []
+            assert got == _scalar_totals(terms, alpha, x0, n)
+            assert len(set(got)) == 1
+        # a length of 5/4 coset spacings is rational but takes the floors
+        box = _spaced_box(alpha, Fraction(1, 3), Fraction(5, 4), 2)
+        mixed = [(box, 2), (full, -3), (full, 1)]
+        calls = _floor_calls(monkeypatch)
+        got = list(brs._lift_totals(mixed, alpha, x0, n))
+        assert len(calls) == 3 * n
+        assert got == _scalar_totals(mixed, alpha, x0, n)
+        if alpha is ALPHA23:
+            terms = [walked, (full, -3), (full, 2)]
+            assert list(brs._lift_totals(terms, alpha, x0, n)) == \
+                _scalar_totals(terms, alpha, x0, n)
+
+
+def test_discrepancy_series_two_primes_takes_three_floors_per_step(
+        monkeypatch):
+    # one walked box and one full-domain box of weight -3, which needs no
+    # floor: one floor for the orbit point and two for the walked box
+    boxset = construct_brs(ALPHA23, Fraction(5, 6), 2)
+    assert [w for _, w in boxset.terms] == [1, -3]
+    for n in (10, 500):
+        calls = _floor_calls(monkeypatch)
+        discrepancy_series(boxset, ALPHA23, zero_point(ALPHA23.primes), [n])
+        assert len(calls) == 3 * n
+
+
 def test_discrepancy_series_rejects_mixed_fields():
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
     x3 = SolenoidPoint(P2, ExactReal(0, 1, 3, 3))  # sqrt(3)/3

@@ -191,6 +191,58 @@ def _one_line_error(capsys, prefix):
     return err
 
 
+def test_usage_errors_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(WORKED), encoding="utf-8")
+    for argv, message in [
+            (["verify"], "--config"),
+            (["verify", "--config", str(cfg), "--count", "3"], "--count 3"),
+            (["verify", "--config", str(cfg), "--seed", "abc"], "'abc'")]:
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert message in _one_line_error(capsys, "usage error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
+    calls = []
+    add_argument = cli.argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", counting)
+    cli.build_parser.cache_clear()
+    cli.build_parser.__wrapped__()
+    per_build = len(calls)
+    calls.clear()
+    for i in range(3):
+        code, _ = run(tmp_path / str(i), "construct", WORKED)
+        assert code == 0
+    assert len(calls) == per_build
+
+
+def test_parser_reuse_leaks_no_state(tmp_path):
+    config = dict(WORKED, checkpoints=[20, 80], bound=2)
+    for first, second, names in [
+            (("verify", "--svg", "--seed", "7"), ("verify",),
+             ("discrepancy.csv", "verdict.json")),
+            (("volumes", "--bound", "1"), ("volumes",),
+             ("volumes.csv", "verdict.json"))]:
+        base = tmp_path / first[0]
+        run(base / "first", first[0], config, *first[1:])
+        _, reused = run(base / "reused", second[0], config)
+        cli.build_parser.cache_clear()
+        _, fresh = run(base / "fresh", second[0], config)
+        # no figure: --svg did not carry over
+        assert sorted(p.name for p in reused.iterdir()) == sorted(names)
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_output_path_errors_exit_3(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(dict(WORKED, out=5)), encoding="utf-8")
@@ -413,13 +465,13 @@ def test_cutproject_correspondence(tmp_path):
 
 
 def test_cutproject_exits_1_on_a_bumped_lift_count(tmp_path, monkeypatch):
-    lift_counts = cli.cutproject.brs._lift_counts
+    lift_totals = cli.cutproject.brs._lift_totals
 
     def bumped(*args):
-        for k, terms in enumerate(lift_counts(*args)):
-            yield (terms[0] + (k == 7), *terms[1:])
+        for k, total in enumerate(lift_totals(*args)):
+            yield total + (k == 7)
 
-    monkeypatch.setattr(cli.cutproject.brs, "_lift_counts", bumped)
+    monkeypatch.setattr(cli.cutproject.brs, "_lift_totals", bumped)
     code, out = run(tmp_path, "cutproject", dict(WORKED, cutproject_n=20))
     assert code == 1
     v = read_verdict(out)

@@ -266,13 +266,13 @@ def test_correspondence_check_catches_a_bumped_lift_count(monkeypatch):
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
     points, agrees = correspondence_check(w.result, ALPHA, 10)
     assert agrees is True
-    lift_counts = brs._lift_counts
+    lift_totals = brs._lift_totals
 
     def bumped(*args):
-        for k, terms in enumerate(lift_counts(*args)):
-            yield (terms[0] + (k == 3), *terms[1:])
+        for k, total in enumerate(lift_totals(*args)):
+            yield total + (k == 3)
 
-    monkeypatch.setattr(brs, "_lift_counts", bumped)
+    monkeypatch.setattr(brs, "_lift_totals", bumped)
     bumped_points, agrees = correspondence_check(w.result, ALPHA, 10)
     assert agrees is False
     # the points come from the window counts, not from brs
