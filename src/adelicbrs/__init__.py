@@ -25,7 +25,7 @@ from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
                   construct_witness, count_coset_in_interval,
                   discrepancy_series, enumerate_volumes, multiplicity,
                   reduce_to_finite, witness_flags)
-from .cutproject import CutPoint, correspondence_check, window_multiplicity
+from .cutproject import correspondence_check, window_multiplicity
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "construct_witness", "count_coset_in_interval",
     "discrepancy_series", "enumerate_volumes", "multiplicity",
     "reduce_to_finite", "witness_flags",
-    "CutPoint", "correspondence_check", "window_multiplicity",
+    "correspondence_check", "window_multiplicity",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from . import cutproject
 from .brs import (AdelicBox, PAdicBall, WeightedBoxSet, construct_brs,
                   construct_witness, discrepancy_series, enumerate_volumes,
                   reduce_to_finite, witness_flags)
-from .errors import (AdelicError, CertificateFailure, ConditionViolated,
+from .errors import (CertificateFailure, ConditionViolated,
                      InconsistentConstraints, NegativeIndicator,
                      NegativeVolume, PrimeSetMismatch, TrivialCharacter,
                      ZeroGamma)
@@ -49,7 +49,7 @@ MAX_FACTORED = 10**12
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
 # and most lattice candidates cutproject counts: on the shipped configs
-# volumes takes at most about 16 s and 100 MB, cutproject about 1 s and 35 MB
+# volumes takes at most about 16 s and 100 MB, cutproject about 0.6 s and 27 MB
 MAX_VOLUMES = 10**5
 MAX_CUTPROJECT = 10**5
 
@@ -70,6 +70,29 @@ class ConfigError(Exception):
 
 class UsageError(Exception):
     """A command line that argparse rejects."""
+
+
+# the one map from an exception to its exit code and stderr prefix
+_FAILURES = (
+    ((UsageError,), EXIT_CONFIG, "usage error"),
+    ((ConfigError,), EXIT_CONFIG, "config error"),
+    (_BROKEN, EXIT_PROPERTY_FAILURE, "property failure"),
+    (_INFEASIBLE, EXIT_INFEASIBLE, "infeasible"),
+)
+
+
+def _guarded(run: Callable[..., int], *args) -> int:
+    """run(*args), or the exit code and one stderr line of its exception;
+    an exception _FAILURES does not list is an internal error."""
+    try:
+        return run(*args)
+    except Exception as e:
+        for kinds, code, prefix in _FAILURES:
+            if isinstance(e, kinds):
+                print(f"{prefix}: {e}", file=sys.stderr)
+                return code
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,10 +234,7 @@ def load_config(data: dict) -> ExperimentConfig:
                               f"under infinite_q")
         alpha = reduce_to_finite(alpha_real, parts, gamma)
     else:
-        try:
-            alpha = AdeleVector(PrimeSet(parts), alpha_real, parts)
-        except (ValueError, AdelicError) as e:
-            raise ConfigError(str(e)) from None
+        alpha = AdeleVector(PrimeSet(parts), alpha_real, parts)
     if not is_minimal(alpha):
         raise ConfigError("alpha_real must be irrational (minimal rotation)")
     weyl_gamma = parse_rational(data.get("weyl_gamma", data.get("gamma", 0)))
@@ -283,7 +303,6 @@ def starting_point(cfg: ExperimentConfig):
 
 
 def write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
@@ -302,9 +321,11 @@ def write_csv(path: Path, header: list[str],
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_verdict(outdir: Path, verdict: dict) -> None:
+def write_verdict(outdir: Path, verdict: dict) -> int:
+    """Write verdict.json, a command's last output; return its exit code."""
     write_atomic(outdir / "verdict.json",
                  json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+    return EXIT_PASS if verdict["pass"] else EXIT_PROPERTY_FAILURE
 
 
 def _sample_checkpoints(checkpoints: list[int]) -> list[int]:
@@ -382,11 +403,10 @@ def cmd_volumes(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
              el.value.decimal_str()] for el in elements]
     write_csv(outdir / "volumes.csv",
               ["gamma", "n", "volume_exact", "volume_decimal"], rows)
-    write_verdict(outdir, {
+    return write_verdict(outdir, {
         "command": "volumes", "seed": cfg.seed, "bound": cfg.bound,
         "count": len(elements), "pass": True,
     })
-    return EXIT_PASS
 
 
 def _construction_verdict(cfg: ExperimentConfig) -> tuple[WeightedBoxSet, dict]:
@@ -418,10 +438,9 @@ def _construction_verdict(cfg: ExperimentConfig) -> tuple[WeightedBoxSet, dict]:
 def cmd_construct(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     boxset, info = _construction_verdict(cfg)
     write_atomic(outdir / "boxes.txt", boxset.serialize() + "\n")
-    ok = all(info["flags"].values())
-    write_verdict(outdir, {
-        "command": "construct", "seed": cfg.seed, "pass": ok, **info})
-    return EXIT_PASS if ok else EXIT_PROPERTY_FAILURE
+    return write_verdict(outdir, {
+        "command": "construct", "seed": cfg.seed,
+        "pass": all(info["flags"].values()), **info})
 
 
 def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
@@ -443,37 +462,23 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     marks = set(checkpoints)
     records = [r for r in summary.records if r.n in marks]
 
-    rows = [[str(r.n), r.value.decimal_str(), r.running_sup.decimal_str(),
-             r.value.exact_str(), r.running_sup.exact_str()]
-            for r in records]
-    write_csv(outdir / "discrepancy.csv",
-              ["N", "D_N", "running_sup", "D_N_exact", "running_sup_exact"],
-              rows)
+    # one rendering of each checkpoint, for the CSV and the verdict
+    header = ["N", "D_N", "running_sup", "D_N_exact", "running_sup_exact"]
+    rendered = [{"N": r.n, "D_N": r.value.decimal_str(),
+                 "running_sup": r.running_sup.decimal_str(),
+                 "D_N_exact": r.value.exact_str(),
+                 "running_sup_exact": r.running_sup.exact_str()}
+                for r in records]
+    write_csv(outdir / "discrepancy.csv", header,
+              ([str(c[k]) for k in header] for c in rendered))
 
     sups = [r.running_sup for r in records]
     plateau = sups[-1] * 10 <= sups[-2] * 11 if len(sups) >= 2 else True
     growth = all(a < b for a, b in zip(sups, sups[1:])) if len(sups) >= 2 \
         else False
-    identities_ok = all(info.get("flags", {}).values())
-    flags = dict(info.get("flags", {}))
-    flags["bounded_plateau"] = plateau
-    flags["growth_detected"] = growth
-    verdict = {
-        "command": "verify", "seed": cfg.seed, **info, "flags": flags,
-        "checkpoints": [
-            {"N": r.n, "D_N": r.value.decimal_str(),
-             "D_N_exact": r.value.exact_str(),
-             "running_sup": r.running_sup.decimal_str(),
-             "running_sup_exact": r.running_sup.exact_str()}
-            for r in records],
-        "sup_attained_at": summary.sup_at,
-        "finite_horizon_note": (
-            "boundedness and growth verdicts are finite-horizon substitutes "
-            "evaluated at the configured checkpoints; they certify the "
-            "computed range only"),
-        "pass": plateau and identities_ok,
-    }
-    write_verdict(outdir, verdict)
+    flags = info.get("flags", {})
+    identities_ok = all(flags.values())
+    flags = {**flags, "bounded_plateau": plateau, "growth_detected": growth}
     if svg:
         write_svg(outdir / "discrepancy.svg", [
             ("D_N", "line",
@@ -482,7 +487,16 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
              [(r.n, r.running_sup.to_float()) for r in summary.records]),
             ("checkpoints", "dots",
              [(r.n, r.value.to_float()) for r in records])], logx=True)
-    return EXIT_PASS if (plateau and identities_ok) else EXIT_PROPERTY_FAILURE
+    return write_verdict(outdir, {
+        "command": "verify", "seed": cfg.seed, **info, "flags": flags,
+        "checkpoints": rendered,
+        "sup_attained_at": summary.sup_at,
+        "finite_horizon_note": (
+            "boundedness and growth verdicts are finite-horizon substitutes "
+            "evaluated at the configured checkpoints; they certify the "
+            "computed range only"),
+        "pass": plateau and identities_ok,
+    })
 
 
 def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
@@ -491,19 +505,18 @@ def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
         raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
                           f"the most candidates cutproject counts")
     boxset, info = _construction_verdict(cfg)
-    points, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
+    counts, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     write_csv(outdir / "cutpoints.csv", ["gamma1", "multiplicity"],
-              ([str(pt.gamma1), str(pt.multiplicity)] for pt in points))
-    write_verdict(outdir, {
-        "command": "cutproject", "seed": cfg.seed, "count": count,
-        "points": len(points), "pass": agrees,
-        "flags": {"correspondence": agrees, **info.get("flags", {})},
-    })
+              ([str(k), str(m)] for k, m in enumerate(counts) if m))
     if svg:
         write_svg(outdir / "cutpoints.svg", [
             ("multiplicity", "dots",
-             [(float(pt.gamma1), pt.multiplicity) for pt in points])])
-    return EXIT_PASS if agrees else EXIT_PROPERTY_FAILURE
+             [(float(k), m) for k, m in enumerate(counts) if m])])
+    return write_verdict(outdir, {
+        "command": "cutproject", "seed": cfg.seed, "count": count,
+        "points": len(counts) - counts.count(0), "pass": agrees,
+        "flags": {"correspondence": agrees, **info.get("flags", {})},
+    })
 
 
 def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
@@ -523,18 +536,17 @@ def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
         plot_rows.append((n, s, bound.to_float()))
     write_csv(outdir / "weyl.csv",
               ["N", "abs_weyl_sum", "bound", "bound_exact", "status"], rows)
-    write_verdict(outdir, {
-        "command": "weyl", "seed": cfg.seed, "gamma": str(gamma),
-        "phase_exact": phase.exact_str(),
-        "phase_decimal": phase.decimal_str(),
-        "pass": all_ok, "flags": {"bound_satisfied": all_ok},
-    })
     if svg:
         write_svg(outdir / "weyl.svg", [
             ("|S_N|", "line", [(n, a) for n, a, _ in plot_rows]),
             ("1/(2N||theta||)", "line", [(n, b) for n, _, b in plot_rows])],
             logx=True, logy=True)
-    return EXIT_PASS if all_ok else EXIT_PROPERTY_FAILURE
+    return write_verdict(outdir, {
+        "command": "weyl", "seed": cfg.seed, "gamma": str(gamma),
+        "phase_exact": phase.exact_str(),
+        "phase_decimal": phase.decimal_str(),
+        "pass": all_ok, "flags": {"bound_satisfied": all_ok},
+    })
 
 
 _COMMANDS = {
@@ -573,11 +585,16 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
         sub = entry.get("config")
         if not isinstance(sub, dict):
             raise ConfigError(f"experiment {name}: missing config object")
+        if "out" in sub:
+            raise ConfigError(f"experiment {name}: key 'out' is not allowed "
+                              f"in a member config, which writes to "
+                              f"OUT/{name}")
         runs[name] = (command, sub)
     results = {}
     worst = EXIT_PASS
     for name, (command, sub) in runs.items():
-        code = _run_single(command, {**sub, **overrides}, outdir / name, svg)
+        code = _guarded(_run_single, command, {**sub, **overrides},
+                        outdir / name, svg)
         results[name] = {"command": command, "exit_code": code,
                          "pass": code == EXIT_PASS}
         worst = max(worst, code)
@@ -596,26 +613,9 @@ def _make_outdir(outdir: Path) -> None:
 
 
 def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
-    try:
-        cfg = load_config(data)
-        _make_outdir(outdir)
-        return _COMMANDS[command](cfg, outdir, svg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _BROKEN as e:
-        print(f"property failure: {e}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
-    except _INFEASIBLE as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except Exception as e:
-        return _internal_error(e)
-
-
-def _internal_error(e: Exception) -> int:
-    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-    return EXIT_INTERNAL
+    cfg = load_config(data)
+    _make_outdir(outdir)
+    return _COMMANDS[command](cfg, outdir, svg)
 
 
 @functools.cache
@@ -639,37 +639,27 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, metavar="PATH",
                         help="JSON config file")
-        sp.add_argument("--out", default=None, metavar="DIR",
+        sp.add_argument("--out", metavar="DIR",
                         help="output directory (default: config key 'out' "
                              "or ./out)")
-        sp.add_argument("--checkpoints", default=None, metavar="CSV-LIST",
+        sp.add_argument("--checkpoints", metavar="CSV-LIST",
                         help="comma-separated checkpoint overrides")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=int,
                         help="seed recorded in the verdict")
         sp.add_argument("--svg", action="store_true",
                         help="also render diagnostic figures")
         if name == "volumes":
-            sp.add_argument("--bound", type=int, default=None,
+            sp.add_argument("--bound", type=int,
                             help="enumeration bound override")
         if name == "cutproject":
-            sp.add_argument("--count", type=int, default=None,
+            sp.add_argument("--count", type=int, dest="cutproject_n",
+                            metavar="COUNT",
                             help="number of gamma_1 candidates")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _dispatch(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as e:
-        return _internal_error(e)
+    return _guarded(lambda: _dispatch(build_parser().parse_args(argv)))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -697,20 +687,16 @@ def _dispatch(args: argparse.Namespace) -> int:
                                         args.checkpoints.split(",") if tok]
         except ValueError:
             raise ConfigError("bad --checkpoints") from None
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "bound", None) is not None:
-        overrides["bound"] = args.bound
-    if getattr(args, "count", None) is not None:
-        overrides["cutproject_n"] = args.count
+    for key in ("seed", "bound", "cutproject_n"):  # flags store to keys
+        if getattr(args, key, None) is not None:
+            overrides[key] = getattr(args, key)
 
     out = data.get("out", "out")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a string, got {out!r}")
     outdir = Path(args.out or out)
-    _make_outdir(outdir)
-
     if args.command == "batch":
+        _make_outdir(outdir)
         return cmd_batch(data, outdir, args.svg, overrides)
     return _run_single(args.command, {**data, **overrides}, outdir, args.svg)
 

@@ -23,7 +23,6 @@ closed-form orbit kernel behind verify's discrepancy series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -118,29 +117,22 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
                   - _floor_a_plus_b_sqrt_d(hi_a + xa, hi_b + xb, c, d))
 
 
-@dataclass(frozen=True, slots=True)
-class CutPoint:
-    gamma1: int
-    multiplicity: int
-
-
 def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,
-                         n: int) -> tuple[list[CutPoint], bool]:
+                         n: int) -> tuple[list[int], bool]:
     """Count, for gamma1 = 0..n-1 and every box of the set, the
     cut-and-project multiplicity and compare it with the lift count brs
     computes at the projected orbit point, in one pass.
 
-    Returns the points gamma1 the primary (first) box selects, with
-    their multiplicity, and whether the two counts agree everywhere.
+    Returns the primary (first) box's multiplicity at each gamma1 (empty
+    for an empty set), and whether the two counts agree everywhere.
     """
     boxes = [box for box, _ in boxset.terms]
     x0 = zero_point(alpha.primes)
     lifts = zip(*(brs._lift_totals([(box, 1)], alpha, x0, n)
                   for box in boxes))
     windows = zip(*(_window_counts(box, alpha, n) for box in boxes))
-    points, agrees = [], True
-    for k, (terms, counts) in enumerate(zip(lifts, windows)):
+    primary, agrees = [], True
+    for terms, counts in zip(lifts, windows):
         agrees = agrees and terms == counts
-        if counts[0]:
-            points.append(CutPoint(k, counts[0]))
-    return points, agrees
+        primary.append(counts[0])
+    return primary, agrees

@@ -30,7 +30,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -336,25 +336,25 @@ class ExactReal:
     def sign(self) -> int:
         return _sign_a_plus_b_sqrt_d(self.a, self.b, self.d)
 
+    def _decimal(self) -> Decimal:
+        """The value to 45 significant digits."""
+        with localcontext() as ctx:
+            ctx.prec = 45
+            root = Decimal(self.d).sqrt()
+            return (Decimal(self.a) + Decimal(self.b) * root) / Decimal(self.c)
+
     def to_float(self) -> float:
         if self.b == 0:
             return self.a / self.c
-        with localcontext() as ctx:
-            ctx.prec = 45
-            val = (Decimal(self.a)
-                   + Decimal(self.b) * Decimal(self.d).sqrt()) / Decimal(self.c)
-        return float(val)
+        return float(self._decimal())
 
-    def decimal_str(self, digits: int = 30) -> str:
-        """Decimal rendering rounded to ``digits`` significant digits."""
-        if self == 0:
+    def decimal_str(self) -> str:
+        """Decimal rendering rounded to 30 significant digits."""
+        if not self:
             return "0"
         with localcontext() as ctx:
-            ctx.prec = digits + 15
-            val = (Decimal(self.a)
-                   + Decimal(self.b) * Decimal(self.d).sqrt()) / Decimal(self.c)
-            ctx.prec = digits
-            return str(+val)
+            ctx.prec = 30
+            return str(+self._decimal())
 
     def exact_str(self) -> str:
         """Canonical exact rendering, e.g. '5/4 - (1/2)*sqrt(2)'."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from adelicbrs import cli
 from adelicbrs.cli import load_config, main
+from adelicbrs.errors import FieldMismatch
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -421,6 +422,29 @@ def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
     _one_line_error(capsys, "internal error: RuntimeError: boom")
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    pytest.param(error, code, prefix, id=type(error).__name__)
+    for error, code, prefix in [
+        (cli.UsageError("bad flag"), 3, "usage error: bad flag"),
+        (cli.ConfigError("bad key"), 3, "config error: bad key"),
+        *((kind("no"), 1, "property failure: no") for kind in cli._BROKEN),
+        *((kind("no"), 2, "infeasible: no") for kind in cli._INFEASIBLE),
+        # an AdelicError that the table does not list, and any other error
+        (FieldMismatch("mixed"), 4, "internal error: FieldMismatch: mixed"),
+        (RuntimeError("boom"), 4, "internal error: RuntimeError: boom")]])
+def test_guarded_maps_each_failure_to_its_exit_code(capsys, error, code,
+                                                    prefix):
+    def fail(*args):
+        assert args == (1, "two")
+        raise error
+
+    capsys.readouterr()
+    assert cli._guarded(fail, 1, "two") == code
+    assert capsys.readouterr().err == prefix + "\n"
+    assert cli._guarded(lambda a, b: a + b, 1, 2) == 3
+    assert capsys.readouterr().err == ""
+
+
 def test_volumes_csv(tmp_path):
     code, out = run(tmp_path, "volumes", dict(WORKED, bound=2))
     assert code == 0
@@ -571,6 +595,63 @@ def test_batch_rejects_bad_experiment_names(tmp_path, capsys, names):
     # nothing ran, inside --out or beside it
     assert list(out.iterdir()) == []
     assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["out"]
+
+
+def test_batch_rejects_a_member_out_key(tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"name": "a", "command": "construct", "config": WORKED},
+        {"name": "b", "command": "construct",
+         "config": dict(WORKED, out=str(elsewhere))}]}), encoding="utf-8")
+    out = tmp_path / "sub" / "out"
+    capsys.readouterr()
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
+    err = _one_line_error(capsys, "config error: experiment b: ")
+    assert "'out'" in err
+    # nothing ran, not even the valid member before it
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json", "sub"]
+
+
+def test_malformed_config_creates_no_output_directory(tmp_path, capsys):
+    for command in _COMMANDS:
+        capsys.readouterr()
+        code, out = run(tmp_path / command, command, {"alpha_real": "1/2"})
+        assert code == 3
+        _one_line_error(capsys, "config error:")
+        assert not out.exists()
+
+
+def _verdict_matches(out: Path, code: int) -> None:
+    """A run that exits 0 or 1 writes its verdict last, with pass true iff
+    it exits 0; a run that raised (2-4) leaves none."""
+    if code >= 2:
+        assert not (out / "verdict.json").exists()
+    else:
+        assert read_verdict(out)["pass"] is (code == 0)
+
+
+def test_pass_is_true_iff_exit_code_is_0(tmp_path):
+    codes = set()
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        is_batch = "experiments" in json.loads(path.read_text("utf-8"))
+        for command in ("batch",) if is_batch else _COMMANDS:
+            out = tmp_path / path.stem / command
+            code = main([command, "--config", str(path), "--out", str(out)])
+            codes.add(code)
+            if not is_batch:
+                _verdict_matches(out, code)
+                continue
+            v = json.loads((out / "batch_verdict.json").read_text("utf-8"))
+            assert v["pass"] is (code == 0)
+            for name, member in v["experiments"].items():
+                assert member["pass"] is (member["exit_code"] == 0), name
+                _verdict_matches(out / name, member["exit_code"])
+                codes.add(member["exit_code"])
+    # the shipped configs include a control box that fails on purpose and
+    # a gamma = 0 that weyl rejects
+    assert codes == {0, 1, 2}
 
 
 def test_checkpoint_and_seed_overrides(tmp_path):

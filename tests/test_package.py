@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import adelicbrs
+from adelicbrs import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +72,17 @@ def test_no_unused_private_definitions():
             for private in defined:
                 if private.startswith("_") and not private.startswith("__"):
                     assert private in used, f"{name} defines {private} unused"
+
+
+def test_every_domain_error_has_an_exit_code():
+    """Each AdelicError is infeasible input (exit 2) or a failed property
+    (exit 1), unless config validation rules it out, so a new error class
+    cannot reach a user as an internal error (exit 4) unnoticed."""
+    ruled_out_by_config = (errors.FieldMismatch, errors.PrimeSetMismatch)
+    kinds = [kind for kind in vars(errors).values()
+             if isinstance(kind, type) and issubclass(kind, errors.AdelicError)
+             and kind is not errors.AdelicError]
+    assert len(kinds) >= 9
+    for kind in kinds:
+        assert kind in cli._INFEASIBLE + cli._BROKEN + ruled_out_by_config, \
+            kind.__name__
