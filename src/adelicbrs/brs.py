@@ -382,6 +382,22 @@ class DiscrepancySummary:
     sup_at: int
 
 
+# Bits of room the fixed-point walks keep above their error bounds: a
+# certified divmod falls back to the exact route about once in 2**(G-1)
+# tries with G of them, and on exact ties.
+_GUARD_BITS = 32
+
+
+def _fixed_point(d: int, bound: int) -> tuple[int, int]:
+    """(P, S) with S = floor(sqrt(d) * 2**P), where 2**P exceeds bound by
+    _GUARD_BITS bits; (0, 0) when nothing irrational moves (d or bound
+    is 0), which makes the fixed-point arithmetic exact."""
+    if not d or not bound:
+        return 0, 0
+    shift = max(0, bound.bit_length() + _GUARD_BITS)
+    return shift, math.isqrt(d << 2 * shift)
+
+
 def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                  x0: SolenoidPoint, n: int) -> Iterator[int]:
     """Yield, for k = 0, ..., n-1, the weighted lift count
@@ -436,31 +452,56 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
     v, q = crt_coset([(p, -e, alpha.part(p) - g0)
                       for p, e in depth.items() if e])
     v, q = v.numerator, q.numerator
+    bmax = abs(b) + n * abs(b_step)  # |b| stays below this on the walk
     prepared = []
     for box, w, c, delta in walked:
         # (end - y - c) / delta = (G - E*f + (b - E_b)*f*sqrt(d)) / r with
         # G = g + s*f*den + y_a*f, for x_k = (y_a + b*sqrt(d)) / den
         f = c.denominator * delta.denominator
+        g = c.numerator * den * delta.denominator
+        r = den * c.denominator * delta.numerator
         (lo_a, lo_b), (hi_a, hi_b) = scaled(box.lo), scaled(box.hi)
-        prepared.append((w, f, f * den, c.numerator * den * delta.denominator,
-                         den * c.denominator * delta.numerator,
-                         lo_a * f, lo_b * f, hi_a * f, hi_b * f))
+        margin = (bmax + max(abs(lo_b), abs(hi_b))) * f  # >= |(b - E_b)*f|
+        prepared.append((w, f, r, margin, g - lo_a * f, lo_b * f,
+                         g - hi_a * f, hi_b * f))
+    shift, root = _fixed_point(d, max(bmax, *(t[3] for t in prepared)))
+    # u + B*sqrt(d) in fixed point is u*2**P + B*S, P = shift, S = root:
+    # its divmod by c << P is the exact floor of (u + B*sqrt(d)) / c when
+    # the remainder clears the margin bounding |B| (see discrepancy_series).
+    # f times the orbit's remainder y_a*2**P + b*S is an end's y-terms.
+    fixed = [(w, f, f * den << shift, r, r << shift, margin,
+              (r << shift) - margin, (lo << shift) - lo_b * root, lo_b,
+              (hi << shift) - hi_b * root, hi_b)
+             for w, f, r, margin, lo, lo_b, hi, hi_b in prepared]
 
-    floor = _floor_a_plus_b_sqrt_d
+    def exact(value: int, coef: int, c: int) -> int:
+        # floor((u + coef*sqrt(d)) / c) for the fixed point value of u
+        return _floor_a_plus_b_sqrt_d((value - coef * root) >> shift, coef,
+                                      c, d)
+
+    x = (a << shift) + b * root
+    step = (a_step << shift) + b_step * root
+    unit = den << shift
+    top = unit - bmax
     for k in range(n):
-        m = floor(a, b, den, d)
-        y_a = a - m * den
+        m, y = divmod(x, unit)
+        if not bmax <= y <= top:
+            m = exact(x, b + k * b_step, den)
+            y = x - m * unit
         s = (m - k * v) % q  # each coset at x_k is its coset at x0 plus s
         total = const
-        for w, f, fden, g, r, lo_a, lo_b, hi_a, hi_b in prepared:
-            g += s * fden + y_a * f
-            bf = b * f
+        for w, f, fden, r, rs, margin, t, lo, lo_b, hi, hi_b in fixed:
+            u = s * fden + f * y
             # ceil(hi') - ceil(lo'), never negative as hi > lo
-            total += w * (floor(g - lo_a, bf - lo_b, r, d)
-                          - floor(g - hi_a, bf - hi_b, r, d))
+            lo_m, rem = divmod(lo + u, rs)
+            if not margin <= rem <= t:
+                lo_m = exact(lo + u, (b + k * b_step) * f - lo_b, r)
+            hi_m, rem = divmod(hi + u, rs)
+            if not margin <= rem <= t:
+                hi_m = exact(hi + u, (b + k * b_step) * f - hi_b, r)
+            total += w * (lo_m - hi_m)
         yield total
-        a += a_step
-        b += b_step
+        x += step
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
@@ -481,10 +522,9 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     It differs from x0 + k*alpha by the lattice element k*g0 + m_k, its
     real part lies in [0, 1) and each p-adic part is p-integral, so it
     is the unique reduction that iterating rotate would reach.  So a
-    step costs one exact floor, an integer square root on numerators
-    over one common denominator.  A ball of radius p**-e sees x_{k,p}
-    only through its residue mod p**e, and x_{k,p} - x0_p = k*(alpha_p -
-    g0) - m_k.  With q = prod_p p**E_p for the deepest such e = E_p at
+    step costs one floor of numerators over one common denominator.  A
+    ball of radius p**-e sees x_{k,p} only through its residue mod p**e,
+    and x_{k,p} - x0_p = k*(alpha_p - g0) - m_k.  With q = prod_p p**E_p for the deepest such e = E_p at
     each p, and one integer v = alpha_p - g0 mod p**E_p for every p, each
     box's CRT coset at x_k is its coset at x0 shifted by the integer
     (m_k - k*v) mod q, whose multiples of q lie in every box's lattice.
@@ -493,11 +533,33 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     ceiling when its real length is K coset spacings for an integer K,
     as a full-domain term is with K = 1: the count is ceil(u + K) -
     ceil(u) = K for every real u, so the term adds w*K at each step
-    without a floor, and its box joins neither q nor the walk.  D_N and the
-    running sup are kept as integer pairs (P + Q*sqrt(d)) / c over the
-    denominator c of |A| and compared by exact sign tests, so an
-    ExactReal is built only at checkpoints.  Nothing is rounded, so the
-    results equal those of orbit plus multiplicity exactly.
+    without a floor, and its box joins neither q nor the walk.
+
+    Every floor is first taken in fixed point.  With S = floor(sqrt(d) *
+    2**P), so that sqrt(d)*2**P = S + theta for some 0 < theta < 1, the
+    integer X = a*2**P + b*S differs from (a + b*sqrt(d))*2**P by
+    b*theta, less than |b|.  So if divmod(X, c*2**P) leaves a remainder
+    R with |b| <= R <= c*2**P - |b|, the quotient is the exact floor of
+    (a + b*sqrt(d))/c.  P is chosen once per walk, _GUARD_BITS bits above
+    the largest |b| the walk can reach, so R misses that window about
+    once in 2**31 tries, or when the value is an integer, which a
+    rational value can be.  Then the exact floor, an integer square root
+    of b*b*d, decides.  The orbit's X moves by one fixed integer per
+    step, and R is already the fixed point of the reduced x_k, so a
+    walked end's numerator is one more integer sum.
+
+    D_N*c, for the denominator c of |A| = (va + vb*sqrt(d)) / c, has the
+    sqrt(d) coefficient -N*vb, so it is kept as one fixed-point integer
+    acc whose error is below N*|vb|, and its rational part is recovered
+    exactly as (acc + N*vb*S) >> P.  The running sup, kept both exactly
+    and in fixed point, is off by less than N*|vb| as well.  So when
+    |acc| exceeds it by more than E = 2*N*|vb| the sup grows, with D_N of
+    the sign of acc, and when |acc| falls short of it by more than E the
+    sup stays; inside +-E the exact sign tests, which square their
+    integers, decide.  When d = 0 or vb = 0, P = 0 and there is no error
+    to bound.  An ExactReal is built only at checkpoints.  The fixed
+    point only selects which exact answer to take, so the results equal
+    those of orbit plus multiplicity exactly.
     """
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -506,8 +568,12 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     marks = set(checkpoints)
     vol = boxset.claimed_volume
     va, vb, vc, d = vol.a, vol.b, vol.c, vol.d
-    acc_a = acc_b = 0  # D_N = (acc_a + acc_b*sqrt(d)) / vc
-    sup_a = sup_b = 0  # running sup, likewise
+    slack = 2 * goal * abs(vb)  # E above
+    shift, root = _fixed_point(d, slack)
+    unit = vc << shift  # a lift count of 1 in D_N * vc * 2**P
+    move = (va << shift) + vb * root  # |A| likewise, up to vb*theta
+    acc = 0  # D_N * vc * 2**P = (acc_a << P) + acc_b*S, acc_b = -N*vb
+    sup_a = sup_b = sup = 0  # running sup exactly, and in fixed point
     sup_at = 0
     records = []
     for k, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal)):
@@ -515,17 +581,27 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
             x = reduce_to_fundamental(x0 + alpha.scale(k))[0]
             raise NegativeIndicator(f"indicator {total} at {x!r}")
         n = k + 1
-        acc_a += total * vc - va
-        acc_b -= vb
-        if _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0:
-            abs_a, abs_b = -acc_a, -acc_b
-        else:
-            abs_a, abs_b = acc_a, acc_b
-        if _sign_a_plus_b_sqrt_d(abs_a - sup_a, abs_b - sup_b, d) > 0:
-            sup_a, sup_b, sup_at = abs_a, abs_b, n
+        acc += total * unit - move
+        gap = abs(acc) - sup
+        if gap >= -slack:
+            acc_b = -n * vb
+            acc_a = (acc - acc_b * root) >> shift
+            if gap > slack:
+                negative, grows = acc < 0, True
+            else:
+                negative = _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0
+                grows = _sign_a_plus_b_sqrt_d(
+                    (-acc_a if negative else acc_a) - sup_a,
+                    (-acc_b if negative else acc_b) - sup_b, d) > 0
+            if grows:
+                sup = -acc if negative else acc
+                sup_a, sup_b = (-acc_a, -acc_b) if negative else (acc_a, acc_b)
+                sup_at = n
         if n in marks:
+            acc_b = -n * vb
             records.append(DiscrepancyRecord(
-                n, ExactReal._reduced(acc_a, acc_b, vc, d),
+                n, ExactReal._reduced((acc - acc_b * root) >> shift, acc_b,
+                                      vc, d),
                 ExactReal._reduced(sup_a, sup_b, vc, d)))
     return DiscrepancySummary(tuple(records),
                               ExactReal._reduced(sup_a, sup_b, vc, d), sup_at)

@@ -43,8 +43,8 @@ DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
 # largest radicand, and under infinite_q gamma denominator, a config may
 # give: both are factored by trial division, about 0.04 s at this size
 MAX_FACTORED = 10**12
-# longest orbit walk verify runs (its last checkpoint): about a minute on
-# configs/two_primes.json at about 6 us per step.  weyl is closed form and
+# longest orbit walk verify runs (its last checkpoint): about 15 s on
+# configs/two_primes.json at about 1.5 us per step.  weyl is closed form and
 # takes any N.
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
@@ -392,12 +392,31 @@ def write_svg(path: Path, series, logx: bool = False,
 # --- subcommands ----------------------------------------------------------
 
 
+def _check_command(command: str, cfg: ExperimentConfig) -> None:
+    """Reject a config that the command itself cannot run: the caps on
+    work with no other bound, and a cut-and-project check with nothing
+    to check.  Runs before the output directory exists, so a config
+    error leaves nothing behind."""
+    if command == "volumes":
+        k = len(cfg.alpha.primes)
+        if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
+            raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
+                              f"than {MAX_VOLUMES} candidate volumes "
+                              f"(bound+1)**{k + 1} * (2*bound+1)")
+    elif command == "verify" and cfg.checkpoints[-1] > MAX_WALK:
+        raise ConfigError(f"last checkpoint {cfg.checkpoints[-1]} is above "
+                          f"{MAX_WALK}, the longest orbit walk verify runs")
+    elif command == "cutproject":
+        if cfg.cutproject_n > MAX_CUTPROJECT:
+            raise ConfigError(f"cutproject_n {cfg.cutproject_n} is above "
+                              f"{MAX_CUTPROJECT}, the most candidates "
+                              f"cutproject counts")
+        if cfg.gamma == 0 and cfg.n == 0:
+            raise ConfigError("cutproject needs a construction to cross-check,"
+                              " and gamma 0 with n 0 builds the empty set")
+
+
 def cmd_volumes(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
-    k = len(cfg.alpha.primes)
-    if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
-        raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
-                          f"than {MAX_VOLUMES} candidate volumes "
-                          f"(bound+1)**{k + 1} * (2*bound+1)")
     elements = enumerate_volumes(cfg.alpha, cfg.bound)
     rows = [[str(el.gamma), str(el.n), el.value.exact_str(),
              el.value.decimal_str()] for el in elements]
@@ -444,9 +463,6 @@ def cmd_construct(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
-    if cfg.checkpoints[-1] > MAX_WALK:
-        raise ConfigError(f"last checkpoint {cfg.checkpoints[-1]} is above "
-                          f"{MAX_WALK}, the longest orbit walk verify runs")
     if cfg.control_box is not None:
         box = cfg.control_box
         boxset = WeightedBoxSet(((box, 1),), box.volume(), 0)
@@ -501,9 +517,6 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
 
 def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     count = cfg.cutproject_n
-    if count > MAX_CUTPROJECT:
-        raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
-                          f"the most candidates cutproject counts")
     boxset, info = _construction_verdict(cfg)
     counts, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     write_csv(outdir / "cutpoints.csv", ["gamma1", "multiplicity"],
@@ -590,6 +603,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
                               f"in a member config, which writes to "
                               f"OUT/{name}")
         runs[name] = (command, sub)
+    _make_outdir(outdir)
     results = {}
     worst = EXIT_PASS
     for name, (command, sub) in runs.items():
@@ -614,6 +628,7 @@ def _make_outdir(outdir: Path) -> None:
 
 def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
     cfg = load_config(data)
+    _check_command(command, cfg)
     _make_outdir(outdir)
     return _COMMANDS[command](cfg, outdir, svg)
 
@@ -696,7 +711,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ConfigError(f"out must be a string, got {out!r}")
     outdir = Path(args.out or out)
     if args.command == "batch":
-        _make_outdir(outdir)
         return cmd_batch(data, outdir, args.svg, overrides)
     return _run_single(args.command, {**data, **overrides}, outdir, args.svg)
 

@@ -482,9 +482,9 @@ def _random_boxset(rng, alpha):
     return WeightedBoxSet(tuple(terms), volume, 0)
 
 
-@pytest.mark.parametrize("nprimes", [0, 1, 2])
-@given(seed=st.integers(0, 2 ** 32))
-def test_discrepancy_series_matches_scalar_route(nprimes, seed):
+def _random_case(seed, nprimes):
+    """A rotation over nprimes primes, a box set, a start point and up to
+    four checkpoints up to 150, all drawn from seed."""
     rng = Random(seed)
     alpha = random_alpha(rng)
     while len(alpha.primes) != nprimes:
@@ -494,9 +494,16 @@ def test_discrepancy_series_matches_scalar_route(nprimes, seed):
     goal = rng.randint(1, 150)
     checkpoints = sorted({goal, *rng.sample(range(1, goal + 1),
                                            min(goal, 3))})
+    return alpha, boxset, x0, checkpoints
+
+
+@pytest.mark.parametrize("nprimes", [0, 1, 2])
+@given(seed=st.integers(0, 2 ** 32))
+def test_discrepancy_series_matches_scalar_route(nprimes, seed):
+    alpha, boxset, x0, checkpoints = _random_case(seed, nprimes)
     got = _kernel_series(boxset, alpha, x0, checkpoints)
     assert got == _scalar_series(boxset, alpha, x0, checkpoints)
-    if goal <= 12:
+    if checkpoints[-1] <= 12:
         assert got == _scalar_series(boxset, alpha, x0, checkpoints,
                                      multiplicity_oracle)
 
@@ -535,15 +542,16 @@ def test_lift_counts_solves_each_coset_once(monkeypatch):
     assert counts[0] == counts[1] <= len(boxset.terms) + 1
 
 
-def _floor_calls(monkeypatch):
+def _calls(monkeypatch, name="_floor_a_plus_b_sqrt_d"):
+    """The argument tuples of every later call of brs.<name>."""
     calls = []
-    floor = brs._floor_a_plus_b_sqrt_d
+    run = getattr(brs, name)
 
     def counting(*args):
         calls.append(args)
-        return floor(*args)
+        return run(*args)
 
-    monkeypatch.setattr(brs, "_floor_a_plus_b_sqrt_d", counting)
+    monkeypatch.setattr(brs, name, counting)
     return calls
 
 
@@ -580,17 +588,20 @@ def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
                    rng.choice((1, -3, 2)))]
                  for k in (1, 2, 4) for delta in (1, 2, 4)]
         for terms in sets:  # every term has a constant count: no floor
-            calls = _floor_calls(monkeypatch)
+            calls = _calls(monkeypatch)
             got = list(brs._lift_totals(terms, alpha, x0, n))
             assert calls == []
             assert got == _scalar_totals(terms, alpha, x0, n)
             assert len(set(got)) == 1
-        # a length of 5/4 coset spacings is rational but takes the floors
+        # a length of 5/4 coset spacings is rational and is walked: the
+        # fixed-point floors fall back to the exact one only on a tie, an
+        # end whose sqrt(d) coefficient is 0 landing on an integer
         box = _spaced_box(alpha, Fraction(1, 3), Fraction(5, 4), 2)
         mixed = [(box, 2), (full, -3), (full, 1)]
-        calls = _floor_calls(monkeypatch)
+        calls = _calls(monkeypatch)
         got = list(brs._lift_totals(mixed, alpha, x0, n))
-        assert len(calls) == 3 * n
+        assert len(calls) <= 2
+        assert all(b == 0 for _, b, _, _ in calls)
         assert got == _scalar_totals(mixed, alpha, x0, n)
         if alpha is ALPHA23:
             terms = [walked, (full, -3), (full, 2)]
@@ -598,16 +609,93 @@ def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
                 _scalar_totals(terms, alpha, x0, n)
 
 
-def test_discrepancy_series_two_primes_takes_three_floors_per_step(
-        monkeypatch):
+def test_discrepancy_series_two_primes_takes_few_exact_floors(monkeypatch):
     # one walked box and one full-domain box of weight -3, which needs no
-    # floor: one floor for the orbit point and two for the walked box
+    # floor.  The orbit point and the walked box's two ends are floored
+    # in fixed point; only at k = 0, where the zero start point makes the
+    # orbit point and one end rational integers, does the exact floor run
     boxset = construct_brs(ALPHA23, Fraction(5, 6), 2)
     assert [w for _, w in boxset.terms] == [1, -3]
     for n in (10, 500):
-        calls = _floor_calls(monkeypatch)
+        calls = _calls(monkeypatch)
         discrepancy_series(boxset, ALPHA23, zero_point(ALPHA23.primes), [n])
-        assert len(calls) == 3 * n
+        assert len(calls) == 2
+        assert all(b == 0 for _, b, _, _ in calls)
+
+
+@pytest.mark.parametrize("guard", [0, -10 ** 6])
+@pytest.mark.parametrize("nprimes", [0, 1, 2])
+def test_fixed_point_fallbacks_match_scalar_route(monkeypatch, guard, nprimes):
+    # a guard of 0 leaves 2**P just above the error bound, so the
+    # certified windows are narrow; a guard of -10**6 gives P = 0, where
+    # nearly every floor and sup update takes the exact route
+    monkeypatch.setattr(brs, "_GUARD_BITS", guard)
+    floors = _calls(monkeypatch)
+    signs = _calls(monkeypatch, "_sign_a_plus_b_sqrt_d")
+    steps = 0
+    for seed in range(12):
+        alpha, boxset, x0, checkpoints = _random_case(seed, nprimes)
+        goal = checkpoints[-1]
+        steps += goal
+        assert list(brs._lift_totals(boxset.terms, alpha, x0, goal)) == \
+            _scalar_totals(boxset.terms, alpha, x0, goal)
+        assert _kernel_series(boxset, alpha, x0, checkpoints) == \
+            _scalar_series(boxset, alpha, x0, checkpoints)
+    assert floors and signs
+    if guard < 0:
+        assert len(floors) > steps
+
+
+_COEF = st.integers(-10 ** 12, 10 ** 12)
+
+
+@st.composite
+def _large_case(draw):
+    """A rotation, a reduced start point and a positive box set over Q = {}
+    or one prime, every coefficient up to about 10**12."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    primes = PrimeSet(draw(st.sampled_from(([], [2], [3]))))
+
+    def real(irrational=False):
+        b = draw(_COEF.filter(bool) if irrational else _COEF)
+        return ExactReal(draw(_COEF), b, draw(st.integers(1, 10 ** 12)), d)
+
+    def parts():
+        return {p: Fraction(draw(_COEF), p ** draw(st.integers(0, 3)))
+                for p in primes}
+
+    alpha = AdeleVector(primes, real(irrational=True), parts())
+    x0 = reduce_to_fundamental(AdeleVector(primes, real(), parts()))[0]
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = real()
+        width = abs(real()) or ExactReal(1)
+        balls = tuple(PAdicBall(p, center, draw(st.integers(-3, 1)))
+                      for p, center in parts().items())
+        terms.append((AdelicBox(lo, lo + width, balls),
+                      draw(st.integers(1, 3))))
+    volume = sum((box.volume() * w for box, w in terms), ExactReal(0))
+    return alpha, x0, WeightedBoxSet(tuple(terms), volume, 0)
+
+
+@pytest.mark.parametrize("guard", [brs._GUARD_BITS, 0])
+@given(case=_large_case())
+def test_fixed_point_sizing_on_large_coefficients(guard, case):
+    # the margins grow with the coefficients the walk reaches: with
+    # guard 0 the certified windows are as narrow as they may be, and a
+    # margin too small would certify a wrong floor; with the shipped
+    # guard the exact floor runs only on ties, at rational values
+    alpha, x0, boxset = case
+    n = 40
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brs, "_GUARD_BITS", guard)
+        floors = _calls(mp)
+        assert list(brs._lift_totals(boxset.terms, alpha, x0, n)) == \
+            _scalar_totals(boxset.terms, alpha, x0, n)
+        assert _kernel_series(boxset, alpha, x0, [1, 7, n]) == \
+            _scalar_series(boxset, alpha, x0, [1, 7, n])
+    if guard:
+        assert all(b == 0 for _, b, _, _ in floors)
 
 
 def test_discrepancy_series_rejects_mixed_fields():

@@ -159,10 +159,11 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("cutproject", dict(WORKED,
                                 cutproject_n=cli.MAX_CUTPROJECT + 1))]:
         capsys.readouterr()
-        code, _ = run(tmp_path, command, config)
+        code, out = run(tmp_path, command, config)
         err = capsys.readouterr().err
         assert code == 3, (command, config)
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists(), (command, config)
 
 
 def test_duplicate_config_keys_exit_3(tmp_path, capsys):
@@ -592,9 +593,8 @@ def test_batch_rejects_bad_experiment_names(tmp_path, capsys, names):
     capsys.readouterr()
     assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
     _one_line_error(capsys, "config error:")
-    # nothing ran, inside --out or beside it
-    assert list(out.iterdir()) == []
-    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["out"]
+    # nothing ran, and nothing was created: not --out, nor its parent
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json"]
 
 
 def test_batch_rejects_a_member_out_key(tmp_path, capsys):
@@ -609,9 +609,27 @@ def test_batch_rejects_a_member_out_key(tmp_path, capsys):
     assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
     err = _one_line_error(capsys, "config error: experiment b: ")
     assert "'out'" in err
-    # nothing ran, not even the valid member before it
-    assert list(out.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json", "sub"]
+    # nothing ran, not even the valid member before it, and nothing was
+    # created
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json"]
+
+
+def test_cutproject_rejects_an_empty_construction(tmp_path, capsys):
+    # gamma 0 and n 0 build the empty set, so there is nothing to
+    # cross-check; cutproject ignores a control box
+    for config in (dict(WORKED, gamma="0", n=0),
+                   json.loads((ROOT / "configs" / "control_box.json")
+                              .read_text("utf-8"))):
+        capsys.readouterr()
+        code, out = run(tmp_path, "cutproject", config)
+        assert code == 3
+        _one_line_error(capsys, "config error: cutproject needs a "
+                                "construction")
+        assert not out.exists()
+    # one full-domain box (gamma 0, n 1) is a construction
+    code, out = run(tmp_path, "cutproject", dict(WORKED, gamma="0", n=1))
+    assert code == 0
+    assert read_verdict(out)["points"] > 0
 
 
 def test_malformed_config_creates_no_output_directory(tmp_path, capsys):
@@ -649,9 +667,10 @@ def test_pass_is_true_iff_exit_code_is_0(tmp_path):
                 assert member["pass"] is (member["exit_code"] == 0), name
                 _verdict_matches(out / name, member["exit_code"])
                 codes.add(member["exit_code"])
-    # the shipped configs include a control box that fails on purpose and
-    # a gamma = 0 that weyl rejects
-    assert codes == {0, 1, 2}
+    # the shipped configs include a control box that fails on purpose, a
+    # gamma = 0 that weyl rejects, and a control-box config whose empty
+    # construction cutproject rejects
+    assert codes == {0, 1, 2, 3}
 
 
 def test_checkpoint_and_seed_overrides(tmp_path):
