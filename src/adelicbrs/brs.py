@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,8 +36,7 @@ from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, fractional_sum,
 # --- geometry -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PAdicBall(object):
+class PAdicBall:
     """Closed ball {x in Q_p : v_p(x - center) >= -radius_exponent}.
 
     Radius p**radius_exponent; exponent 0 gives Z_p translates, negative
@@ -46,32 +44,37 @@ class PAdicBall(object):
     denominators.  Haar measure is p**radius_exponent.
     """
 
-    p: int
-    center: Fraction
-    radius_exponent: int
+    __slots__ = ("p", "center", "radius_exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
+    def __init__(self, p: int, center: RationalLike, radius_exponent: int):
+        self.p = p
+        self.center = Fraction(center)
+        self.radius_exponent = radius_exponent
+
+    def __eq__(self, other):
+        if not isinstance(other, PAdicBall):
+            return NotImplemented
+        return (self.p, self.center, self.radius_exponent) == \
+            (other.p, other.center, other.radius_exponent)
 
     def measure(self) -> Fraction:
         return Fraction(self.p) ** self.radius_exponent
 
 
-@dataclass(frozen=True, slots=True)
 class AdelicBox:
     """Product of a half-open real interval [lo, hi) and one p-adic ball
     per prime, ordered by prime."""
 
-    lo: ExactReal
-    hi: ExactReal
-    balls: tuple[PAdicBall, ...]
+    __slots__ = ("lo", "hi", "balls")
 
-    def __post_init__(self):
-        ps = [ball.p for ball in self.balls]
+    def __init__(self, lo: ExactReal, hi: ExactReal,
+                 balls: tuple[PAdicBall, ...]):
+        ps = [ball.p for ball in balls]
         if ps != sorted(set(ps)):
             raise ValueError("balls must be sorted by distinct primes")
-        if not self.lo < self.hi:
+        if not lo < hi:
             raise ValueError("real interval must be nonempty")
+        self.lo, self.hi, self.balls = lo, hi, balls
 
     @property
     def primes(self) -> PrimeSet:
@@ -88,22 +91,12 @@ class AdelicBox:
         balls = tuple(PAdicBall(p, Fraction(0), 0) for p in PrimeSet(primes))
         return cls(ExactReal(0), ExactReal(1), balls)
 
-    def with_extra_primes(self, primes: Iterable[int]) -> "AdelicBox":
-        """Same box seen inside a larger solenoid: new primes get the
-        unit ball Z_p, which changes neither volume nor lift counts."""
-        extra = [p for p in PrimeSet(primes) if p not in self.primes]
-        balls = self.balls + tuple(
-            PAdicBall(p, Fraction(0), 0) for p in extra)
-        return AdelicBox(self.lo, self.hi,
-                         tuple(sorted(balls, key=lambda b: b.p)))
-
     def serialize(self, weight: int) -> str:
         ball_part = " ".join(
             f"{b.p}:{b.center}:{b.radius_exponent}" for b in self.balls)
         return f"{weight} | {self.lo.exact_str()} | {self.hi.exact_str()} | {ball_part}"
 
 
-@dataclass(frozen=True, slots=True)
 class WeightedBoxSet:
     """Finite formal sum of adelic boxes with integer weights, plus the
     volume it claims to realize and a nonnegativity certificate.
@@ -113,20 +106,23 @@ class WeightedBoxSet:
     the total magnitude of negative weights.
     """
 
-    terms: tuple[tuple[AdelicBox, int], ...]
-    claimed_volume: ExactReal
-    certificate: int = 0
-    source_gamma: Fraction | None = None
-    source_n: int | None = None
+    __slots__ = ("terms", "claimed_volume", "certificate", "source_gamma",
+                 "source_n")
 
-    def __post_init__(self):
-        neg = sum(-w for _, w in self.terms if w < 0)
-        if self.certificate < neg:
+    def __init__(self, terms: tuple[tuple[AdelicBox, int], ...],
+                 claimed_volume: ExactReal, certificate: int = 0,
+                 source_gamma: Fraction | None = None,
+                 source_n: int | None = None):
+        neg = sum(-w for _, w in terms if w < 0)
+        if certificate < neg:
             raise CertificateFailure(
-                f"certificate {self.certificate} below negative mass {neg}")
-        if self.claimed_volume < 0:
+                f"certificate {certificate} below negative mass {neg}")
+        if claimed_volume < 0:
             raise NegativeVolume(
-                f"claimed volume {self.claimed_volume.exact_str()}")
+                f"claimed volume {claimed_volume.exact_str()}")
+        self.terms, self.claimed_volume = terms, claimed_volume
+        self.certificate = certificate
+        self.source_gamma, self.source_n = source_gamma, source_n
 
     def volume_consistent(self) -> bool:
         total = ExactReal(0)
@@ -134,26 +130,19 @@ class WeightedBoxSet:
             total = total + box.volume() * w
         return total == self.claimed_volume
 
-    def with_extra_primes(self, primes: Iterable[int]) -> "WeightedBoxSet":
-        return WeightedBoxSet(
-            tuple((box.with_extra_primes(primes), w) for box, w in self.terms),
-            self.claimed_volume, self.certificate,
-            self.source_gamma, self.source_n)
-
     def serialize(self) -> str:
         return "\n".join(box.serialize(w) for box, w in self.terms)
 
 
-@dataclass(frozen=True, slots=True)
 class VolumeElement:
     """One allowable volume together with the (gamma, n) that realizes it."""
 
-    gamma: Fraction
-    n: int
-    value: ExactReal
+    __slots__ = ("gamma", "n", "value")
+
+    def __init__(self, gamma: Fraction, n: int, value: ExactReal):
+        self.gamma, self.n, self.value = gamma, n, value
 
 
-@dataclass(frozen=True, slots=True)
 class BRSConstruction:
     """Full witness of one construction run.
 
@@ -165,19 +154,17 @@ class BRSConstruction:
     target volume).
     """
 
-    sign: int
-    ell: int
-    gamma: Fraction
-    n: int
-    lam1: Fraction
-    lam2: Fraction
-    lam: Fraction
-    box_scale: int
-    xi: ExactReal
-    base_box: AdelicBox
-    copies: int
-    surplus: int
-    result: WeightedBoxSet
+    __slots__ = ("sign", "ell", "gamma", "n", "lam1", "lam2", "lam",
+                 "box_scale", "xi", "base_box", "copies", "surplus", "result")
+
+    def __init__(self, sign: int, ell: int, gamma: Fraction, n: int,
+                 lam1: Fraction, lam2: Fraction, lam: Fraction,
+                 box_scale: int, xi: ExactReal, base_box: AdelicBox,
+                 copies: int, surplus: int, result: WeightedBoxSet):
+        self.sign, self.ell, self.gamma, self.n = sign, ell, gamma, n
+        self.lam1, self.lam2, self.lam = lam1, lam2, lam
+        self.box_scale, self.xi, self.base_box = box_scale, xi, base_box
+        self.copies, self.surplus, self.result = copies, surplus, result
 
 
 # --- volumes --------------------------------------------------------------
@@ -368,18 +355,19 @@ def multiplicity(boxset: WeightedBoxSet, x: SolenoidPoint) -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
 class DiscrepancyRecord:
-    n: int
-    value: ExactReal
-    running_sup: ExactReal
+    __slots__ = ("n", "value", "running_sup")
+
+    def __init__(self, n: int, value: ExactReal, running_sup: ExactReal):
+        self.n, self.value, self.running_sup = n, value, running_sup
 
 
-@dataclass(frozen=True, slots=True)
 class DiscrepancySummary:
-    records: tuple[DiscrepancyRecord, ...]
-    sup: ExactReal
-    sup_at: int
+    __slots__ = ("records", "sup", "sup_at")
+
+    def __init__(self, records: tuple[DiscrepancyRecord, ...],
+                 sup: ExactReal, sup_at: int):
+        self.records, self.sup, self.sup_at = records, sup, sup_at
 
 
 # Bits of room the fixed-point walks keep above their error bounds: a

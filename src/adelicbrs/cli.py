@@ -16,13 +16,13 @@ plain-SVG files and are not part of any verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -197,19 +197,18 @@ def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
                           f"{', '.join(map(repr, unknown))}{where}")
 
 
-@dataclass
 class ExperimentConfig:
-    alpha: AdeleVector
-    gamma: Fraction
-    n: int
-    checkpoints: list[int]
-    x0_real: ExactReal
-    x0_padic: dict[int, Fraction]
-    seed: int
-    bound: int
-    cutproject_n: int
-    weyl_gamma: Fraction
-    control_box: AdelicBox | None
+    __slots__ = ("alpha", "gamma", "n", "checkpoints", "x0", "seed", "bound",
+                 "cutproject_n", "weyl_gamma", "control_box")
+
+    def __init__(self, alpha: AdeleVector, gamma: Fraction, n: int,
+                 checkpoints: list[int], x0: AdeleVector, seed: int,
+                 bound: int, cutproject_n: int, weyl_gamma: Fraction,
+                 control_box: AdelicBox | None):
+        self.alpha, self.gamma, self.n = alpha, gamma, n
+        self.checkpoints, self.x0, self.seed = checkpoints, x0, seed
+        self.bound, self.cutproject_n = bound, cutproject_n
+        self.weyl_gamma, self.control_box = weyl_gamma, control_box
 
 
 def load_config(data: dict) -> ExperimentConfig:
@@ -288,15 +287,13 @@ def load_config(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         alpha=alpha, gamma=gamma, n=n, checkpoints=list(checkpoints),
-        x0_real=x0_real, x0_padic=x0_padic, seed=seed, bound=bound,
-        cutproject_n=cut_n, weyl_gamma=weyl_gamma, control_box=control_box)
+        x0=AdeleVector(alpha.primes, x0_real, x0_padic), seed=seed,
+        bound=bound, cutproject_n=cut_n, weyl_gamma=weyl_gamma,
+        control_box=control_box)
 
 
 def starting_point(cfg: ExperimentConfig):
-    vec = AdeleVector(cfg.alpha.primes, cfg.x0_real,
-                      {p: cfg.x0_padic.get(p, Fraction(0))
-                       for p in cfg.alpha.primes})
-    return reduce_to_fundamental(vec)[0]
+    return reduce_to_fundamental(cfg.x0)[0]
 
 
 # --- output helpers -------------------------------------------------------
@@ -394,15 +391,18 @@ def write_svg(path: Path, series, logx: bool = False,
 
 def _check_command(command: str, cfg: ExperimentConfig) -> None:
     """Reject a config that the command itself cannot run: the caps on
-    work with no other bound, and a cut-and-project check with nothing
-    to check.  Runs before the output directory exists, so a config
-    error leaves nothing behind."""
+    work with no other bound, a plateau test with one checkpoint and a
+    cut-and-project check with nothing to check.  Runs before the output
+    directory exists, so a config error leaves nothing behind."""
     if command == "volumes":
         k = len(cfg.alpha.primes)
         if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
             raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
                               f"than {MAX_VOLUMES} candidate volumes "
                               f"(bound+1)**{k + 1} * (2*bound+1)")
+    elif command == "verify" and len(cfg.checkpoints) < 2:
+        raise ConfigError("verify needs at least two checkpoints, as its "
+                          "plateau test compares the last two")
     elif command == "verify" and cfg.checkpoints[-1] > MAX_WALK:
         raise ConfigError(f"last checkpoint {cfg.checkpoints[-1]} is above "
                           f"{MAX_WALK}, the longest orbit walk verify runs")
@@ -488,10 +488,9 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
     write_csv(outdir / "discrepancy.csv", header,
               ([str(c[k]) for k in header] for c in rendered))
 
-    sups = [r.running_sup for r in records]
-    plateau = sups[-1] * 10 <= sups[-2] * 11 if len(sups) >= 2 else True
-    growth = all(a < b for a, b in zip(sups, sups[1:])) if len(sups) >= 2 \
-        else False
+    sups = [r.running_sup for r in records]  # two or more, by _check_command
+    plateau = sups[-1] * 10 <= sups[-2] * 11
+    growth = all(a < b for a, b in zip(sups, sups[1:]))
     flags = info.get("flags", {})
     identities_ok = all(flags.values())
     flags = {**flags, "bounded_plateau": plateau, "growth_detected": growth}
@@ -629,8 +628,18 @@ def _make_outdir(outdir: Path) -> None:
 def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
     cfg = load_config(data)
     _check_command(command, cfg)
+    created = [path for path in (outdir, *outdir.parents)
+               if not path.exists()]  # deepest first
     _make_outdir(outdir)
-    return _COMMANDS[command](cfg, outdir, svg)
+    try:
+        return _COMMANDS[command](cfg, outdir, svg)
+    except BaseException:
+        # a run that wrote no file leaves none of its directories behind;
+        # rmdir refuses the first one that is not empty, which ends the loop
+        with contextlib.suppress(OSError):
+            for path in created:
+                path.rmdir()
+        raise
 
 
 @functools.cache

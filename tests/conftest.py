@@ -1,6 +1,6 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and helpers for the test suite.
 
-Everything here recomputes results by brute force or by a visibly
+Every oracle here recomputes results by brute force or by a visibly
 different algorithm than the package uses, so agreement is evidence
 rather than tautology.  Oracles work on plain ints and Fractions and
 stay deliberately slow and simple.
@@ -11,7 +11,8 @@ from random import Random
 
 from hypothesis import settings
 
-from adelicbrs import AdeleVector, ExactReal, PrimeSet
+from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
+                       PrimeSet, WeightedBoxSet)
 
 # One fixed example sequence per test: reproducible on any machine, and
 # no wall-clock deadline, because timings on a shared host are noisy.
@@ -108,6 +109,23 @@ def lift_count_oracle(box, x) -> int:
 
 def multiplicity_oracle(boxset, x) -> int:
     return sum(w * lift_count_oracle(box, x) for box, w in boxset.terms)
+
+
+def with_extra_primes(shape, primes):
+    """A box or weighted box set seen inside a larger solenoid: each new
+    prime gets the unit ball Z_p, which changes neither volume nor lift
+    counts."""
+    if isinstance(shape, WeightedBoxSet):
+        return WeightedBoxSet(
+            tuple((with_extra_primes(box, primes), w)
+                  for box, w in shape.terms),
+            shape.claimed_volume, shape.certificate, shape.source_gamma,
+            shape.source_n)
+    balls = {ball.p: ball for ball in shape.balls}
+    for p in primes:
+        balls.setdefault(p, PAdicBall(p, Fraction(0), 0))
+    return AdelicBox(shape.lo, shape.hi,
+                     tuple(balls[p] for p in sorted(balls)))
 
 
 SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13)

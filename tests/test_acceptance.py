@@ -21,7 +21,7 @@ from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
                        discrepancy_series, multiplicity, padic_abs,
                        reduce_to_finite, reduce_to_fundamental, weyl_sum,
                        zero_point)
-from conftest import diagonal, random_alpha, random_gamma
+from conftest import diagonal, random_alpha, random_gamma, with_extra_primes
 
 P2 = PrimeSet([2])
 SQRT2 = ExactReal.sqrt(2)
@@ -206,7 +206,7 @@ def test_criterion_8_infinite_support_reduction():
                                  checkpoints)
     big_primes = PrimeSet([2, 3])
     big = AdeleVector(big_primes, SQRT2, parts)
-    wide = w.result.with_extra_primes([3])
+    wide = with_extra_primes(w.result, [3])
     s_big = discrepancy_series(wide, big, zero_point(big_primes),
                                checkpoints)
     ok = primes == P2 and small == ALPHA

@@ -18,7 +18,7 @@ from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
                        reduce_to_finite, reduce_to_fundamental,
                        witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
-                      random_gamma)
+                      random_gamma, with_extra_primes)
 
 P2 = PrimeSet([2])
 SQRT2 = ExactReal.sqrt(2)
@@ -86,7 +86,7 @@ def test_box_serialize():
 def test_box_with_extra_primes():
     box = AdelicBox(ExactReal(0), ExactReal(1, 0, 2),
                     (PAdicBall(3, Fraction(1, 3), -1),))
-    wide = box.with_extra_primes([2, 5])
+    wide = with_extra_primes(box, [2, 5])
     assert wide.primes == PrimeSet([2, 3, 5])
     assert wide.volume() == box.volume()
     assert wide.balls[0].p == 2 and wide.balls[0].radius_exponent == 0
@@ -760,7 +760,7 @@ def test_restrict_and_equivalence_of_enlarged_prime_set():
     checkpoints = [10, 100, 400]
     s_small = discrepancy_series(w_small.result, small,
                                  zero_point(small.primes), checkpoints)
-    wide = w_small.result.with_extra_primes([3])
+    wide = with_extra_primes(w_small.result, [3])
     s_big = discrepancy_series(wide, big, zero_point(big.primes),
                                checkpoints)
     for r1, r2 in zip(s_small.records, s_big.records):

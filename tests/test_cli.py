@@ -92,6 +92,16 @@ def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == \
         "infeasible: xi' = -19/4 - (1/2)*sqrt(2)\n"
+    # the run removes the empty directories it made, parents included,
+    # and keeps one that already existed
+    for command in ("construct", "verify", "cutproject"):
+        assert main([command, "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    (tmp_path / "kept").mkdir()
+    assert main(["construct", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "kept")]) == 2
+    assert (tmp_path / "kept").is_dir()
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -118,6 +128,10 @@ def test_config_errors_exit_3(tmp_path, capsys):
                                                    "b": 1, "c": 1})),
             ("verify", dict(WORKED, control_box=control)),
             ("verify", dict(WORKED, checkpoints=[True])),
+            # one checkpoint leaves the plateau test nothing to compare,
+            # so a box of volume 1/2, which is not allowable, would pass
+            ("verify", dict(WORKED, checkpoints=[10000], control_box={
+                "real_lo": "0", "real_hi": "1/2", "balls": {"2": 0}})),
             ("volumes", dict(WORKED, bound="x")),
             ("volumes", dict(WORKED, bound=-1)),
             ("cutproject", dict(WORKED, cutproject_n="x")),
@@ -153,7 +167,7 @@ def test_config_errors_exit_3(tmp_path, capsys):
             # work with no other bound, each just above its cap: an orbit
             # walk, the (bound+1)**(|Q|+1) * (2*bound+1) candidate volumes
             # over Q = {2} and Q = {}, the cut-and-project candidates
-            ("verify", dict(WORKED, checkpoints=[cli.MAX_WALK + 1])),
+            ("verify", dict(WORKED, checkpoints=[10, cli.MAX_WALK + 1])),
             ("volumes", dict(WORKED, bound=37)),
             ("volumes", dict(WORKED, alpha_padic={}, gamma="1", bound=223)),
             ("cutproject", dict(WORKED,
@@ -643,9 +657,10 @@ def test_malformed_config_creates_no_output_directory(tmp_path, capsys):
 
 def _verdict_matches(out: Path, code: int) -> None:
     """A run that exits 0 or 1 writes its verdict last, with pass true iff
-    it exits 0; a run that raised (2-4) leaves none."""
+    it exits 0; a run that raised (2-4) before writing, as every one on
+    the shipped configs does, leaves no verdict and no directory."""
     if code >= 2:
-        assert not (out / "verdict.json").exists()
+        assert not out.exists()
     else:
         assert read_verdict(out)["pass"] is (code == 0)
 

@@ -27,6 +27,21 @@ def test_readme_library_example_runs():
     assert done.stdout.count("\n") == 3
 
 
+def test_cli_startup_imports_neither_dataclasses_nor_inspect():
+    """Importing the CLI adds neither module to a bare interpreter's
+    sys.modules: together they pull a dozen stdlib modules the CLI never
+    uses into every start."""
+    probe = ("import sys; bare = set(sys.modules); import adelicbrs.cli; "
+             "print(*sorted(set(sys.modules) - bare))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "adelicbrs.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 def test_no_unused_imports():
     for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
         if path.name == "__init__.py":
