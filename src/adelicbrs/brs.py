@@ -299,10 +299,6 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
         balls.append(PAdicBall(p, Fraction(0), -padic_valuation(lam + ap, p)))
     base_box = AdelicBox(ExactReal(0), abs(lam + alpha.real) * box_scale,
                          tuple(balls))
-    # exact consistency of the two volume formulas
-    if not _window(alpha, lam) * box_scale == xi:
-        raise ConditionViolated("volume identity failed")  # pragma: no cover
-
     fused = AdelicBox(base_box.lo, base_box.hi * copies, base_box.balls)
     surplus = xi_target - xi * copies
     assert surplus.is_integer()
@@ -363,11 +359,10 @@ class DiscrepancyRecord:
 
 
 class DiscrepancySummary:
-    __slots__ = ("records", "sup", "sup_at")
+    __slots__ = ("records", "sup_at")
 
-    def __init__(self, records: tuple[DiscrepancyRecord, ...],
-                 sup: ExactReal, sup_at: int):
-        self.records, self.sup, self.sup_at = records, sup, sup_at
+    def __init__(self, records: tuple[DiscrepancyRecord, ...], sup_at: int):
+        self.records, self.sup_at = records, sup_at
 
 
 # Bits of room the fixed-point walks keep above their error bounds: a
@@ -591,8 +586,7 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
                 n, ExactReal._reduced((acc - acc_b * root) >> shift, acc_b,
                                       vc, d),
                 ExactReal._reduced(sup_a, sup_b, vc, d)))
-    return DiscrepancySummary(tuple(records),
-                              ExactReal._reduced(sup_a, sup_b, vc, d), sup_at)
+    return DiscrepancySummary(tuple(records), sup_at)
 
 
 def character_volume_identity(boxset: WeightedBoxSet,

@@ -1,12 +1,15 @@
 """Command line interface.
 
 Subcommands: volumes, construct, verify, cutproject, weyl, batch.
-Every run reads one flat JSON config, writes CSV/text outputs plus a
-machine-readable verdict.json into --out, and exits 0 (all checks pass),
-1 (a verified property failed), 2 (infeasible input), 3 (bad command
-line, bad config, an input above its cap, or an output directory that
-cannot be created), or 4 (internal error: any other exception, reported
-in one line without a traceback).
+A run is parse, compute, write.  Each cmd_* is a function of its config
+that returns its output files as text and its verdict fields; _run_single
+alone derives the verdict's pass, writes every file into --out with
+verdict.json last, and turns pass into the exit code.  A run exits
+0 (all checks pass), 1 (a verified property failed), 2 (infeasible
+input), 3 (bad command line, bad config, an input above its cap, or an
+output that cannot be written), or 4 (internal error: any other
+exception, reported in one line without a traceback).  A run that exits
+2-4 writes no file.
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
@@ -16,7 +19,6 @@ plain-SVG files and are not part of any verdict.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -311,18 +313,30 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list[str],
-              rows: Iterable[list[str]]) -> None:
+def _write(outdir: Path, files: dict[str, str]) -> None:
+    """Create outdir and write files into it, in order.  An output that
+    cannot be written is a config error, and the files written before it
+    are removed again."""
+    written = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            write_atomic(outdir / name, text)
+            written.append(outdir / name)
+    except OSError as e:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output: {e}") from None
+
+
+def _json(verdict: dict) -> str:
+    return json.dumps(verdict, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_verdict(outdir: Path, verdict: dict) -> int:
-    """Write verdict.json, a command's last output; return its exit code."""
-    write_atomic(outdir / "verdict.json",
-                 json.dumps(verdict, indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS if verdict["pass"] else EXIT_PROPERTY_FAILURE
+    return "\n".join(lines) + "\n"
 
 
 def _sample_checkpoints(checkpoints: list[int]) -> list[int]:
@@ -339,8 +353,7 @@ def _sample_checkpoints(checkpoints: list[int]) -> list[int]:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
-def write_svg(path: Path, series, logx: bool = False,
-              logy: bool = False) -> None:
+def svg_text(series, logx: bool = False, logy: bool = False) -> str:
     """Diagnostic figure as plain SVG text; the same data always gives
     the same bytes.
 
@@ -383,7 +396,7 @@ def write_svg(path: Path, series, logx: bool = False,
         out.append(f'<text x="{pad + 8}" y="{pad + 16 + 14 * i}" '
                    f'fill="{color}">{label}</text>')
     out.append("</svg>")
-    write_atomic(path, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
 # --- subcommands ----------------------------------------------------------
@@ -392,8 +405,7 @@ def write_svg(path: Path, series, logx: bool = False,
 def _check_command(command: str, cfg: ExperimentConfig) -> None:
     """Reject a config that the command itself cannot run: the caps on
     work with no other bound, a plateau test with one checkpoint and a
-    cut-and-project check with nothing to check.  Runs before the output
-    directory exists, so a config error leaves nothing behind."""
+    cut-and-project check with nothing to check."""
     if command == "volumes":
         k = len(cfg.alpha.primes)
         if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
@@ -416,16 +428,13 @@ def _check_command(command: str, cfg: ExperimentConfig) -> None:
                               " and gamma 0 with n 0 builds the empty set")
 
 
-def cmd_volumes(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+def cmd_volumes(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     elements = enumerate_volumes(cfg.alpha, cfg.bound)
     rows = [[str(el.gamma), str(el.n), el.value.exact_str(),
              el.value.decimal_str()] for el in elements]
-    write_csv(outdir / "volumes.csv",
-              ["gamma", "n", "volume_exact", "volume_decimal"], rows)
-    return write_verdict(outdir, {
-        "command": "volumes", "seed": cfg.seed, "bound": cfg.bound,
-        "count": len(elements), "pass": True,
-    })
+    return ({"volumes.csv": csv_text(
+                ["gamma", "n", "volume_exact", "volume_decimal"], rows)},
+            {"bound": cfg.bound, "count": len(elements)})
 
 
 def _construction_verdict(cfg: ExperimentConfig) -> tuple[WeightedBoxSet, dict]:
@@ -454,15 +463,12 @@ def _construction_verdict(cfg: ExperimentConfig) -> tuple[WeightedBoxSet, dict]:
     return boxset, info
 
 
-def cmd_construct(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+def cmd_construct(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     boxset, info = _construction_verdict(cfg)
-    write_atomic(outdir / "boxes.txt", boxset.serialize() + "\n")
-    return write_verdict(outdir, {
-        "command": "construct", "seed": cfg.seed,
-        "pass": all(info["flags"].values()), **info})
+    return {"boxes.txt": boxset.serialize() + "\n"}, info
 
 
-def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     if cfg.control_box is not None:
         box = cfg.control_box
         boxset = WeightedBoxSet(((box, 1),), box.volume(), 0)
@@ -485,80 +491,74 @@ def cmd_verify(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
                  "D_N_exact": r.value.exact_str(),
                  "running_sup_exact": r.running_sup.exact_str()}
                 for r in records]
-    write_csv(outdir / "discrepancy.csv", header,
-              ([str(c[k]) for k in header] for c in rendered))
-
-    sups = [r.running_sup for r in records]  # two or more, by _check_command
-    plateau = sups[-1] * 10 <= sups[-2] * 11
-    growth = all(a < b for a, b in zip(sups, sups[1:]))
-    flags = info.get("flags", {})
-    identities_ok = all(flags.values())
-    flags = {**flags, "bounded_plateau": plateau, "growth_detected": growth}
+    files = {"discrepancy.csv": csv_text(
+        header, ([str(c[k]) for k in header] for c in rendered))}
     if svg:
-        write_svg(outdir / "discrepancy.svg", [
+        files["discrepancy.svg"] = svg_text([
             ("D_N", "line",
              [(r.n, r.value.to_float()) for r in summary.records]),
             ("running sup |D_M|", "line",
              [(r.n, r.running_sup.to_float()) for r in summary.records]),
             ("checkpoints", "dots",
              [(r.n, r.value.to_float()) for r in records])], logx=True)
-    return write_verdict(outdir, {
-        "command": "verify", "seed": cfg.seed, **info, "flags": flags,
+
+    sups = [r.running_sup for r in records]  # two or more, by _check_command
+    return files, {
+        **info, "flags": {
+            **info.get("flags", {}),
+            "bounded_plateau": sups[-1] * 10 <= sups[-2] * 11,
+            "growth_detected": all(a < b for a, b in zip(sups, sups[1:]))},
         "checkpoints": rendered,
         "sup_attained_at": summary.sup_at,
         "finite_horizon_note": (
             "boundedness and growth verdicts are finite-horizon substitutes "
             "evaluated at the configured checkpoints; they certify the "
             "computed range only"),
-        "pass": plateau and identities_ok,
-    })
+    }
 
 
-def cmd_cutproject(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+def cmd_cutproject(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     count = cfg.cutproject_n
     boxset, info = _construction_verdict(cfg)
     counts, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
-    write_csv(outdir / "cutpoints.csv", ["gamma1", "multiplicity"],
-              ([str(k), str(m)] for k, m in enumerate(counts) if m))
+    files = {"cutpoints.csv": csv_text(
+        ["gamma1", "multiplicity"],
+        ([str(k), str(m)] for k, m in enumerate(counts) if m))}
     if svg:
-        write_svg(outdir / "cutpoints.svg", [
+        files["cutpoints.svg"] = svg_text([
             ("multiplicity", "dots",
              [(float(k), m) for k, m in enumerate(counts) if m])])
-    return write_verdict(outdir, {
-        "command": "cutproject", "seed": cfg.seed, "count": count,
-        "points": len(counts) - counts.count(0), "pass": agrees,
-        "flags": {"correspondence": agrees, **info.get("flags", {})},
-    })
+    return files, {
+        "count": count, "points": len(counts) - counts.count(0),
+        "flags": {"correspondence": agrees, **info["flags"]},
+    }
 
 
-def cmd_weyl(cfg: ExperimentConfig, outdir: Path, svg: bool) -> int:
+def cmd_weyl(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     gamma = cfg.weyl_gamma
     phase = character_phase(gamma, cfg.alpha)
     norm = min(phase, 1 - phase)
     rows = []
     plot_rows = []
-    all_ok = True
     for n in cfg.checkpoints:
         s = abs(weyl_sum(gamma, cfg.alpha, n))
         bound = (norm * (2 * n)).inverse()
-        ok = s <= bound.to_float()
-        all_ok = all_ok and ok
-        rows.append([str(n), repr(s), bound.decimal_str(),
-                     bound.exact_str(), "pass" if ok else "fail"])
-        plot_rows.append((n, s, bound.to_float()))
-    write_csv(outdir / "weyl.csv",
-              ["N", "abs_weyl_sum", "bound", "bound_exact", "status"], rows)
+        limit = bound.to_float()
+        rows.append([str(n), repr(s), bound.decimal_str(), bound.exact_str(),
+                     "pass" if s <= limit else "fail"])
+        plot_rows.append((n, s, limit))
+    files = {"weyl.csv": csv_text(
+        ["N", "abs_weyl_sum", "bound", "bound_exact", "status"], rows)}
     if svg:
-        write_svg(outdir / "weyl.svg", [
+        files["weyl.svg"] = svg_text([
             ("|S_N|", "line", [(n, a) for n, a, _ in plot_rows]),
             ("1/(2N||theta||)", "line", [(n, b) for n, _, b in plot_rows])],
             logx=True, logy=True)
-    return write_verdict(outdir, {
-        "command": "weyl", "seed": cfg.seed, "gamma": str(gamma),
-        "phase_exact": phase.exact_str(),
+    return files, {
+        "gamma": str(gamma), "phase_exact": phase.exact_str(),
         "phase_decimal": phase.decimal_str(),
-        "pass": all_ok, "flags": {"bound_satisfied": all_ok},
-    })
+        "flags": {"bound_satisfied": all(row[-1] == "pass" for row in rows)},
+    }
 
 
 _COMMANDS = {
@@ -602,7 +602,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
                               f"in a member config, which writes to "
                               f"OUT/{name}")
         runs[name] = (command, sub)
-    _make_outdir(outdir)
+    _write(outdir, {})  # an --out that cannot be made fails before any run
     results = {}
     worst = EXIT_PASS
     for name, (command, sub) in runs.items():
@@ -611,35 +611,24 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
         results[name] = {"command": command, "exit_code": code,
                          "pass": code == EXIT_PASS}
         worst = max(worst, code)
-    write_atomic(outdir / "batch_verdict.json",
-                 json.dumps({"command": "batch", "experiments": results,
-                             "pass": worst == EXIT_PASS},
-                            indent=2, sort_keys=True) + "\n")
+    _write(outdir, {"batch_verdict.json": _json(
+        {"command": "batch", "experiments": results,
+         "pass": worst == EXIT_PASS})})
     return worst
 
 
-def _make_outdir(outdir: Path) -> None:
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory: {e}") from None
-
-
 def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
+    """Parse, compute, write: the one place that derives a command's pass
+    and exit code and writes its files.  pass holds when every flag does,
+    except growth_detected, which reports growth."""
     cfg = load_config(data)
     _check_command(command, cfg)
-    created = [path for path in (outdir, *outdir.parents)
-               if not path.exists()]  # deepest first
-    _make_outdir(outdir)
-    try:
-        return _COMMANDS[command](cfg, outdir, svg)
-    except BaseException:
-        # a run that wrote no file leaves none of its directories behind;
-        # rmdir refuses the first one that is not empty, which ends the loop
-        with contextlib.suppress(OSError):
-            for path in created:
-                path.rmdir()
-        raise
+    files, fields = _COMMANDS[command](cfg, svg)
+    passed = all(holds for flag, holds in fields.get("flags", {}).items()
+                 if flag != "growth_detected")
+    _write(outdir, {**files, "verdict.json": _json(
+        {"command": command, "seed": cfg.seed, **fields, "pass": passed})})
+    return EXIT_PASS if passed else EXIT_PROPERTY_FAILURE
 
 
 @functools.cache

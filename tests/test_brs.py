@@ -263,7 +263,7 @@ def test_construct_brs_gamma_zero():
     assert full3.volume_consistent()
     # integer-volume sets built from full domains have zero discrepancy
     s = discrepancy_series(full3, ALPHA, zero_point(P2), [1, 7, 40])
-    assert s.sup == 0
+    assert s.records[-1].running_sup == 0
 
 
 def test_construct_witness_worked_example():
@@ -405,9 +405,8 @@ def test_discrepancy_series_worked_example_prefix():
     assert s.records[0].value == ExactReal(-1, 2, 4, 2)
     # D_2 = 2 - 2*xi
     assert s.records[1].value == ExactReal(2) - w.xi * 2
-    assert s.records[-1].running_sup == s.sup
     assert s.sup_at == 35
-    assert s.sup == ExactReal(-95, 70, 4, 2)
+    assert s.records[-1].running_sup == ExactReal(-95, 70, 4, 2)
 
 
 def test_discrepancy_series_matches_brute_force():
@@ -443,7 +442,8 @@ def _scalar_series(boxset, alpha, x0, checkpoints, count=multiplicity):
 def _kernel_series(boxset, alpha, x0, checkpoints):
     s = discrepancy_series(boxset, alpha, x0, checkpoints)
     return ([(r.n, r.value.exact_str(), r.running_sup.exact_str())
-             for r in s.records], s.sup.exact_str(), s.sup_at)
+             for r in s.records], s.records[-1].running_sup.exact_str(),
+            s.sup_at)
 
 
 def _random_start(rng, alpha):
@@ -766,4 +766,4 @@ def test_restrict_and_equivalence_of_enlarged_prime_set():
     for r1, r2 in zip(s_small.records, s_big.records):
         assert r1.value == r2.value
         assert r1.running_sup == r2.running_sup
-    assert s_small.sup == s_big.sup
+    assert s_small.records[-1].running_sup == s_big.records[-1].running_sup

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adelicbrs import cli
+from adelicbrs import brs, cli
 from adelicbrs.cli import load_config, main
 from adelicbrs.errors import FieldMismatch
 
@@ -92,8 +92,8 @@ def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == \
         "infeasible: xi' = -19/4 - (1/2)*sqrt(2)\n"
-    # the run removes the empty directories it made, parents included,
-    # and keeps one that already existed
+    # the run makes no directory, parents included, and keeps one that
+    # already existed
     for command in ("construct", "verify", "cutproject"):
         assert main([command, "--config", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "a" / "b" / "out")]) == 2
@@ -283,6 +283,15 @@ def test_output_path_errors_exit_3(tmp_path, capsys):
     _one_line_error(capsys, "config error:")
     v = json.loads((out / "batch_verdict.json").read_text(encoding="utf-8"))
     assert [v["experiments"][k]["exit_code"] for k in "ab"] == [3, 0]
+    # an output file that cannot be written exits 3, not 4, and the run
+    # removes the files it wrote before it
+    cfg.write_text(json.dumps(WORKED), encoding="utf-8")
+    blocked = tmp_path / "blocked"
+    (blocked / "verdict.json").mkdir(parents=True)
+    assert main(["construct", "--config", str(cfg), "--out", str(blocked)]) \
+        == 3
+    _one_line_error(capsys, "config error:")
+    assert sorted(p.name for p in blocked.iterdir()) == ["verdict.json"]
 
 
 def test_unknown_config_keys_exit_3(tmp_path, capsys):
@@ -419,6 +428,19 @@ def test_config_boundary_fuzz(case):
     assert err.count("\n") <= runs, err
 
 
+def test_failed_run_after_first_output_leaves_no_directory(tmp_path,
+                                                          monkeypatch):
+    # the CSV is rendered before the figure; nothing is written until
+    # every output is rendered
+    def broken(*_, **__):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "svg_text", broken)
+    code, out = run(tmp_path, "verify", WORKED, "--svg")
+    assert code == 4
+    assert not out.exists()
+
+
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
                                                   monkeypatch):
     def broken(*_):
@@ -515,6 +537,33 @@ def test_cutproject_exits_1_on_a_bumped_lift_count(tmp_path, monkeypatch):
     assert code == 1
     v = read_verdict(out)
     assert v["flags"]["correspondence"] is False
+    assert v["pass"] is False
+
+
+def test_cutproject_pass_needs_the_witness_flags(tmp_path, monkeypatch):
+    witness_flags = cli.witness_flags
+
+    def one_false(*args):
+        return {**witness_flags(*args), "certificate_ok": False}
+
+    monkeypatch.setattr(cli, "witness_flags", one_false)
+    code, out = run(tmp_path, "cutproject", dict(WORKED, cutproject_n=20))
+    assert code == 1
+    v = read_verdict(out)
+    assert v["flags"]["correspondence"] is True
+    assert v["flags"]["certificate_ok"] is False
+    assert v["pass"] is False
+
+
+def test_failed_window_identity_exits_1(tmp_path, monkeypatch):
+    # witness_flags is the one place that checks the window identity, so
+    # a failure is a failed property, not an infeasible input
+    window = brs._window
+    monkeypatch.setattr(brs, "_window", lambda *args: window(*args) + 1)
+    code, out = run(tmp_path, "construct", WORKED)
+    assert code == 1
+    v = read_verdict(out)
+    assert v["flags"]["window_identity"] is False
     assert v["pass"] is False
 
 
@@ -657,12 +706,16 @@ def test_malformed_config_creates_no_output_directory(tmp_path, capsys):
 
 def _verdict_matches(out: Path, code: int) -> None:
     """A run that exits 0 or 1 writes its verdict last, with pass true iff
-    it exits 0; a run that raised (2-4) before writing, as every one on
-    the shipped configs does, leaves no verdict and no directory."""
+    it exits 0 and iff every flag but growth_detected holds; a run that
+    raised (2-4) leaves no verdict and no directory."""
     if code >= 2:
         assert not out.exists()
     else:
-        assert read_verdict(out)["pass"] is (code == 0)
+        v = read_verdict(out)
+        assert v["pass"] is (code == 0)
+        assert v["pass"] is all(holds for flag, holds in
+                                v.get("flags", {}).items()
+                                if flag != "growth_detected")
 
 
 def test_pass_is_true_iff_exit_code_is_0(tmp_path):

@@ -89,6 +89,32 @@ def test_no_unused_private_definitions():
                     assert private in used, f"{name} defines {private} unused"
 
 
+def test_one_writer_and_commands_that_write_nothing():
+    """A run is parse, compute, write: write_atomic has one call site, the
+    runner's writer, and no command takes an output directory or sets its
+    own pass."""
+    callers = []
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers.extend(
+                (path.name, getattr(top, "name", None))
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and "write_atomic" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None)))
+    assert callers == [("cli.py", "_write")]
+    tree = ast.parse((ROOT / "src" / "adelicbrs" / "cli.py")
+                     .read_text(encoding="utf-8"))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_") and node.name != "cmd_batch"]
+    assert sorted(node.name for node in commands) == sorted(
+        "cmd_" + name for name in cli._COMMANDS)
+    for node in commands:
+        assert [arg.arg for arg in node.args.args] == ["cfg", "svg"], node.name
+        keys = {key.value for d in ast.walk(node) if isinstance(d, ast.Dict)
+                for key in d.keys if isinstance(key, ast.Constant)}
+        assert "pass" not in keys, node.name
+
+
 def test_every_domain_error_has_an_exit_code():
     """Each AdelicError is infeasible input (exit 2) or a failed property
     (exit 1), unless config validation rules it out, so a new error class
