@@ -8,8 +8,7 @@ arithmetic is exact (integers, Fractions, quadratic irrationals);
 floating point appears only in reports and Weyl averages.
 """
 
-from .errors import (AdelicError, CertificateFailure, ConditionViolated,
-                     FieldMismatch, InconsistentConstraints,
+from .errors import (AdelicError, ConditionViolated, FieldMismatch,
                      NegativeIndicator, NegativeVolume, PrimeSetMismatch,
                      TrivialCharacter, ZeroGamma)
 from .exact import (ExactReal, PrimeSet, ceil_exact, crt_coset, factorize,
@@ -30,10 +29,9 @@ from .cutproject import correspondence_check, window_multiplicity
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdelicError", "CertificateFailure", "ConditionViolated",
-    "FieldMismatch", "InconsistentConstraints", "NegativeIndicator",
-    "NegativeVolume", "PrimeSetMismatch", "TrivialCharacter",
-    "ZeroGamma",
+    "AdelicError", "ConditionViolated", "FieldMismatch",
+    "NegativeIndicator", "NegativeVolume", "PrimeSetMismatch",
+    "TrivialCharacter", "ZeroGamma",
     "ExactReal", "PrimeSet", "ceil_exact", "crt_coset", "factorize",
     "is_prime", "padic_abs", "padic_fractional_part",
     "padic_valuation", "rational_residue",

@@ -23,12 +23,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (CertificateFailure, ConditionViolated, FieldMismatch,
-                     NegativeIndicator, NegativeVolume, PrimeSetMismatch,
-                     ZeroGamma)
-from .exact import (ExactReal, PrimeSet, RationalLike, _floor_a_plus_b_sqrt_d,
-                    _sign_a_plus_b_sqrt_d, ceil_exact, crt_coset, factorize,
-                    padic_abs, padic_valuation)
+from .errors import (ConditionViolated, NegativeIndicator, NegativeVolume,
+                     PrimeSetMismatch, ZeroGamma)
+from .exact import (ExactReal, PrimeSet, RationalLike, _common_radicand,
+                    _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d, ceil_exact,
+                    crt_coset, factorize, padic_abs, padic_valuation)
 from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, fractional_sum,
                        is_minimal, reduce_to_fundamental)
 
@@ -102,8 +101,10 @@ class WeightedBoxSet:
     volume it claims to realize and a nonnegativity certificate.
 
     The certificate is an integer lower bound on the lift count of the
-    positive terms wherever a negative term applies; it must dominate
-    the total magnitude of negative weights.
+    positive terms wherever a negative term applies.  The set is certified
+    when it dominates the total magnitude of negative weights; the
+    constructor records the certificate and certified() checks it, as
+    volume_consistent() checks the claimed volume.
     """
 
     __slots__ = ("terms", "claimed_volume", "certificate", "source_gamma",
@@ -113,10 +114,6 @@ class WeightedBoxSet:
                  claimed_volume: ExactReal, certificate: int = 0,
                  source_gamma: Fraction | None = None,
                  source_n: int | None = None):
-        neg = sum(-w for _, w in terms if w < 0)
-        if certificate < neg:
-            raise CertificateFailure(
-                f"certificate {certificate} below negative mass {neg}")
         if claimed_volume < 0:
             raise NegativeVolume(
                 f"claimed volume {claimed_volume.exact_str()}")
@@ -129,6 +126,9 @@ class WeightedBoxSet:
         for box, w in self.terms:
             total = total + box.volume() * w
         return total == self.claimed_volume
+
+    def certified(self) -> bool:
+        return self.certificate >= sum(-w for _, w in self.terms if w < 0)
 
     def serialize(self) -> str:
         return "\n".join(box.serialize(w) for box, w in self.terms)
@@ -393,12 +393,8 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
-    d = 0
-    for v in (alpha.real, x0.real,
-              *(end for box, _ in terms for end in (box.lo, box.hi))):
-        if v.d and d and v.d != d:
-            raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({v.d})")
-        d = d or v.d
+    d = _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
+                         *(box.hi for box, _ in terms))
     const = 0  # the total of the terms whose count never moves
     walked = []  # the other terms, with their coset at x0
     for box, w in terms:
@@ -620,8 +616,7 @@ def witness_flags(alpha: AdeleVector, boxset: WeightedBoxSet,
     flags = {
         "volume_consistent": boxset.volume_consistent(),
         "character_identity": character_volume_identity(boxset, alpha),
-        "certificate_ok": boxset.certificate >= sum(
-            -w for _, w in boxset.terms if w < 0),
+        "certificate_ok": boxset.certified(),
     }
     if witness is not None:
         flags["window_identity"] = (

@@ -33,10 +33,8 @@ from . import cutproject
 from .brs import (AdelicBox, PAdicBall, WeightedBoxSet, construct_brs,
                   construct_witness, discrepancy_series, enumerate_volumes,
                   reduce_to_finite, witness_flags)
-from .errors import (CertificateFailure, ConditionViolated,
-                     InconsistentConstraints, NegativeIndicator,
-                     NegativeVolume, PrimeSetMismatch, TrivialCharacter,
-                     ZeroGamma)
+from .errors import (ConditionViolated, NegativeIndicator, NegativeVolume,
+                     PrimeSetMismatch, TrivialCharacter, ZeroGamma)
 from .exact import ExactReal, PrimeSet, is_prime
 from .solenoid import (AdeleVector, as_lattice, character_phase, is_minimal,
                        reduce_to_fundamental, weyl_sum)
@@ -45,6 +43,13 @@ DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
 # largest radicand, and under infinite_q gamma denominator, a config may
 # give: both are factored by trial division, about 0.04 s at this size
 MAX_FACTORED = 10**12
+# most bits of any integer a config gives (a numerator or denominator, an
+# exact-real component, a prime, a count or checkpoint) and of the measure
+# p**|e| of a control-box ball: outputs print exact values whose integers
+# are products of a few of these, and Python prints no integer above 4300
+# digits.  With every number of configs/two_primes.json at this size, the
+# longest integer any command prints has 2697 digits, in about 0.1 s
+MAX_BITS = 1000
 # longest orbit walk verify runs (its last checkpoint): about 15 s on
 # configs/two_primes.json at about 1.5 us per step.  weyl is closed form and
 # takes any N.
@@ -62,8 +67,8 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
 _INFEASIBLE = (NegativeVolume, ZeroGamma, TrivialCharacter,
-               ConditionViolated, InconsistentConstraints)
-_BROKEN = (CertificateFailure, NegativeIndicator)
+               ConditionViolated)
+_BROKEN = (NegativeIndicator,)
 
 
 class ConfigError(Exception):
@@ -106,17 +111,22 @@ class _Parser(argparse.ArgumentParser):
 # --- config parsing -------------------------------------------------------
 
 
+def _require_bits(value: int, what: str) -> int:
+    if value.bit_length() > MAX_BITS:
+        raise ConfigError(f"{what} has more than {MAX_BITS} bits")
+    return value
+
+
 def parse_rational(value: Any) -> Fraction:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"bad rational {value!r}: {e}") from None
-    raise ConfigError(f"expected a rational, got {value!r}")
+    try:
+        x = Fraction(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad rational {value!r}: {e}") from None
+    _require_bits(max(abs(x.numerator), x.denominator),
+                  "a rational's numerator or denominator")
+    return x
 
 
 def parse_int(value: Any, what: str, minimum: int | None = None) -> int:
@@ -125,7 +135,7 @@ def parse_int(value: Any, what: str, minimum: int | None = None) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {value}")
-    return value
+    return _require_bits(value, what)
 
 
 def parse_exact_real(value: Any) -> ExactReal:
@@ -158,7 +168,7 @@ def _parse_prime_map(obj: Any, what: str,
             p = int(key)
         except ValueError:
             p = 0
-        if key != str(p) or not is_prime(p):
+        if key != str(p) or not is_prime(_require_bits(p, f"{what} key")):
             raise ConfigError(f"{what} key {key!r} must be a prime "
                               f"written in canonical decimal")
         out[p] = parse_value(val)
@@ -257,6 +267,7 @@ def load_config(data: dict) -> ExperimentConfig:
             or sorted(set(checkpoints)) != checkpoints):
         raise ConfigError("checkpoints must be strictly increasing positive "
                           "integers")
+    _require_bits(checkpoints[-1], "the last checkpoint")
 
     n = parse_int(data.get("n", 0), "n")
     seed = parse_int(data.get("seed", 0), "seed")
@@ -276,6 +287,9 @@ def load_config(data: dict) -> ExperimentConfig:
             balls.setdefault(p, 0)
         if sorted(balls) != list(alpha.primes):
             raise ConfigError("control_box.balls must use alpha's primes")
+        for p, e in balls.items():  # the exponent is capped, not the power
+            _require_bits(p ** min(abs(e), MAX_BITS + 1),
+                          f"control_box ball measure {p}**{e}")
         try:
             control_box = AdelicBox(
                 _require_field(parse_exact_real(cb.get("real_lo", 0)),
@@ -697,7 +711,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.checkpoints is not None:
         try:
             overrides["checkpoints"] = [int(tok) for tok in
-                                        args.checkpoints.split(",") if tok]
+                                        args.checkpoints.split(",")]
         except ValueError:
             raise ConfigError("bad --checkpoints") from None
     for key in ("seed", "bound", "cutproject_n"):  # flags store to keys

@@ -28,8 +28,7 @@ from typing import Iterator
 
 from . import brs
 from .brs import AdelicBox, WeightedBoxSet
-from .errors import FieldMismatch
-from .exact import (RationalLike, _floor_a_plus_b_sqrt_d,
+from .exact import (RationalLike, _common_radicand, _floor_a_plus_b_sqrt_d,
                     padic_fractional_part)
 from .solenoid import AdeleVector, zero_point
 
@@ -55,10 +54,7 @@ def window_multiplicity(window: AdelicBox, alpha: AdeleVector,
         w = g1 * alpha.part(ball.p) - ball.center
         eta -= padic_fractional_part(w / s, ball.p)
     a, lo, hi = alpha.real, window.lo, window.hi
-    d = a.d if g1 and a.b else lo.d or hi.d
-    for end in (lo, hi):
-        if end.b and end.d != d:
-            raise FieldMismatch(f"cannot mix sqrt({end.d}) with sqrt({d})")
+    d = _common_radicand(a, lo, hi) if g1 else _common_radicand(lo, hi)
     # -ceil((end - x - base)/s) = floor((x - end)/s + eta), put over one
     # denominator with x, end = X/r, E/r, s = num/den and eta = e/q
     step = g1.denominator * a.c
@@ -100,17 +96,10 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
     lo_a, lo_b, hi_a, hi_b = (-v * den * q * (r // end.c)
                               for end in (lo, hi) for v in (end.a, end.b))
     rn, c = r * num, r * num * q
-
-    def field(d: int) -> int:
-        for end in (lo, hi):
-            if end.b and end.d != d:
-                raise FieldMismatch(f"cannot mix sqrt({end.d}) with sqrt({d})")
-        return d
-
-    d = field(lo.d or hi.d)  # k = 0 puts no sqrt into x
+    d = _common_radicand(lo, hi)  # k = 0 puts no sqrt into x
     for k in range(n):
-        if k == 1 and a.b:
-            d = field(a.d)
+        if k == 1:
+            d = _common_radicand(a, lo, hi)
         xa = k * step_a + -(e0 + k * e1) % q * rn
         xb = k * step_b
         yield max(0, _floor_a_plus_b_sqrt_d(lo_a + xa, lo_b + xb, c, d)

@@ -18,10 +18,6 @@ class PrimeSetMismatch(AdelicError, ValueError):
     """Two adelic objects are indexed by different prime sets."""
 
 
-class InconsistentConstraints(AdelicError, ValueError):
-    """A system of p-adic congruences has empty solution set."""
-
-
 class TrivialCharacter(AdelicError, ValueError):
     """gamma = 0 selects the trivial character; the request is vacuous."""
 
@@ -36,10 +32,6 @@ class NegativeVolume(AdelicError, ValueError):
 
 class ZeroGamma(AdelicError, ValueError):
     """gamma = 0 cannot be decomposed against a scaled denominator."""
-
-
-class CertificateFailure(AdelicError, ArithmeticError):
-    """A signed box combination cannot be certified pointwise nonnegative."""
 
 
 class NegativeIndicator(AdelicError, ArithmeticError):

@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import FieldMismatch, InconsistentConstraints
+from .errors import FieldMismatch
 
 RationalLike = Union[int, Fraction]
 
@@ -168,40 +168,30 @@ def crt_coset(constraints: Sequence[Constraint]) -> tuple[Fraction, Fraction]:
     rationals with denominators supported on the constraint primes.
 
     Each constraint (p, h, r) demands v_p(x - r) >= -h, i.e. x lies in
-    the ball of radius p**h around r.  The solution set is always a
-    one-dimensional coset c + delta*Z with delta = prod p**(-h); the
-    returned c is its minimal nonnegative representative.
-
-    Duplicate primes are merged by ball intersection; disjoint balls at
-    the same prime raise InconsistentConstraints.  An empty system
-    returns (0, 1), i.e. all of Z.
+    the ball of radius p**h around r.  There is one constraint per prime
+    (a repeated prime raises ValueError), so the solution set is always
+    a one-dimensional coset c + delta*Z with delta = prod p**(-h); the
+    returned c is its minimal nonnegative representative.  An empty
+    system returns (0, 1), i.e. all of Z.
     """
-    merged: dict[int, tuple[int, Fraction]] = {}
+    primes = [p for p, _, _ in constraints]
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"more than one constraint at a prime in {primes}")
+    delta = Fraction(1)
+    scale = 1  # common denominator for all solutions
+    congruences = []
     for p, h, r in constraints:
         _require_prime(p)
         r = Fraction(r)
-        if p not in merged:
-            merged[p] = (h, r)
-            continue
-        h0, r0 = merged[p]
-        # ultrametric: two balls are nested or disjoint
-        if padic_valuation(r - r0, p) < -max(h, h0):
-            raise InconsistentConstraints(
-                f"empty intersection of balls at p={p}")
-        merged[p] = (h, r) if h < h0 else (h0, r0)
-
-    delta = Fraction(1)
-    scale = 1  # common denominator for all solutions
-    for p, (h, r) in merged.items():
         delta *= Fraction(p) ** (-h)
         v = padic_valuation(r, p)
         t = max(h, 0, 0 if v == math.inf else -v)
         scale *= p ** t
+        congruences.append((p, t - h, r))  # v_p(scale) = t
 
     # congruences satisfied by x = gamma * scale in Z
     residue, modulus = 0, 1
-    for p, (h, r) in merged.items():
-        e = _int_valuation(scale, p) - h
+    for p, e, r in congruences:
         if e <= 0:
             continue
         q = p ** e
@@ -255,6 +245,18 @@ def _floor_a_plus_b_sqrt_d(a: int, b: int, c: int, d: int) -> int:
         return a // c
     t = math.isqrt(b * b * d)
     return (a + (t if b > 0 else -t - 1)) // c
+
+
+def _common_radicand(*reals: "ExactReal") -> int:
+    """The radicand that every irrational one of reals shares, or 0 when
+    all are rational; two different radicands raise FieldMismatch."""
+    d = 0
+    for x in reals:
+        if x.d and x.d != d:
+            if d:
+                raise FieldMismatch(f"cannot mix sqrt({d}) with sqrt({x.d})")
+            d = x.d
+    return d
 
 
 class ExactReal:
@@ -385,20 +387,12 @@ class ExactReal:
                                       other.denominator, 0)
         return NotImplemented  # type: ignore[return-value]
 
-    def _join_field(self, other: "ExactReal") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0 or self.d == other.d:
-            return self.d
-        raise FieldMismatch(
-            f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-
     # arithmetic
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._join_field(o)
+        d = _common_radicand(self, o)
         return ExactReal._reduced(self.a * o.c + o.a * self.c,
                                   self.b * o.c + o.b * self.c,
                                   self.c * o.c, d)
@@ -421,7 +415,7 @@ class ExactReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._join_field(o)
+        d = _common_radicand(self, o)
         return ExactReal._reduced(self.a * o.a + self.b * o.b * d,
                                   self.a * o.b + self.b * o.a,
                                   self.c * o.c, d)

@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adelicbrs import brs
-from adelicbrs import (AdelicBox, AdeleVector, CertificateFailure,
-                       ExactReal, FieldMismatch, NegativeIndicator,
-                       NegativeVolume, PAdicBall, PrimeSet, SolenoidPoint,
-                       WeightedBoxSet, ZeroGamma, allowable_volume,
-                       box_lift_count, character_volume_identity, choose_n,
-                       construct_brs, construct_witness,
-                       count_coset_in_interval, crt_coset,
+from adelicbrs import (AdelicBox, AdeleVector, ExactReal, FieldMismatch,
+                       NegativeIndicator, NegativeVolume, PAdicBall,
+                       PrimeSet, SolenoidPoint, WeightedBoxSet, ZeroGamma,
+                       allowable_volume, box_lift_count,
+                       character_volume_identity, choose_n, construct_brs,
+                       construct_witness, count_coset_in_interval, crt_coset,
                        discrepancy_series, enumerate_volumes, multiplicity,
                        orbit, padic_abs, padic_fractional_part,
                        reduce_to_finite, reduce_to_fundamental,
@@ -94,12 +93,11 @@ def test_box_with_extra_primes():
 
 def test_weighted_box_set_guards():
     full = AdelicBox.full_domain(P2)
-    with pytest.raises(CertificateFailure):
-        WeightedBoxSet(((full, -1),), ExactReal(0), 0)
+    assert not WeightedBoxSet(((full, -1),), ExactReal(0), 0).certified()
     with pytest.raises(NegativeVolume):
         WeightedBoxSet(((full, 1),), ExactReal(-1), 0)
     ok = WeightedBoxSet(((full, 2), (full, -1)), ExactReal(1), 1)
-    assert ok.volume_consistent()
+    assert ok.volume_consistent() and ok.certified()
     assert not WeightedBoxSet(((full, 1),), ExactReal(3, 0, 2),
                               0).volume_consistent()
 

@@ -41,6 +41,11 @@ def read_verdict(out: Path) -> dict:
     return json.loads((out / "verdict.json").read_text(encoding="utf-8"))
 
 
+def shipped(name: str) -> dict:
+    return json.loads((ROOT / "configs" / f"{name}.json")
+                      .read_text(encoding="utf-8"))
+
+
 def test_construct_worked_example(tmp_path):
     code, out = run(tmp_path, "construct", WORKED)
     assert code == 0
@@ -171,7 +176,16 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("volumes", dict(WORKED, bound=37)),
             ("volumes", dict(WORKED, alpha_padic={}, gamma="1", bound=223)),
             ("cutproject", dict(WORKED,
-                                cutproject_n=cli.MAX_CUTPROJECT + 1))]:
+                                cutproject_n=cli.MAX_CUTPROJECT + 1)),
+            # numbers above MAX_BITS, whose exact outputs would pass the
+            # 4300 digits Python prints: a ball measure 2**-20000, a
+            # 2**13000 denominator and a 4001-digit exact-real component
+            ("verify", dict(shipped("control_box"), control_box=dict(
+                shipped("control_box")["control_box"], balls={"2": -20000}))),
+            ("weyl", dict(shipped("worked_example"),
+                          alpha_padic={"2": f"1/{2 ** 13000}"})),
+            ("weyl", dict(shipped("worked_example"),
+                          alpha_real={"b": 1, "c": 10 ** 4000, "d": 2}))]:
         capsys.readouterr()
         code, out = run(tmp_path, command, config)
         err = capsys.readouterr().err
@@ -220,6 +234,16 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("tokens", ["10,,60", "10,x"])
+def test_bad_checkpoints_flag_exits_3(tmp_path, capsys, tokens):
+    # an empty token is an error too, never silently dropped
+    capsys.readouterr()
+    code, out = run(tmp_path, "verify", WORKED, "--checkpoints", tokens)
+    assert code == 3
+    _one_line_error(capsys, "config error: bad --checkpoints")
+    assert not out.exists()
 
 
 def test_main_builds_the_parser_once(monkeypatch, tmp_path):
@@ -551,6 +575,26 @@ def test_cutproject_pass_needs_the_witness_flags(tmp_path, monkeypatch):
     assert code == 1
     v = read_verdict(out)
     assert v["flags"]["correspondence"] is True
+    assert v["flags"]["certificate_ok"] is False
+    assert v["pass"] is False
+
+
+def test_short_certificate_exits_1_with_a_verdict(tmp_path, monkeypatch):
+    # configs/two_primes.json takes 3 full boxes away (surplus -3) under a
+    # certificate of 4, the floor of the fused box's volume; a volume of 2
+    # gives a certificate of 2, which a verdict reports as a failed flag
+    config = shipped("two_primes")
+    code, out = run(tmp_path / "as_built", "construct", config)
+    v = read_verdict(out)
+    assert code == 0
+    assert (v["surplus"], v["certificate"]) == (-3, 4)
+    assert v["flags"]["certificate_ok"] is True
+    monkeypatch.setattr(brs.AdelicBox, "volume",
+                        lambda self: brs.ExactReal(2))
+    code, out = run(tmp_path / "short", "construct", config)
+    assert code == 1
+    v = read_verdict(out)
+    assert v["certificate"] == 2
     assert v["flags"]["certificate_ok"] is False
     assert v["pass"] is False
 

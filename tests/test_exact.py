@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adelicbrs import (ExactReal, FieldMismatch, InconsistentConstraints,
-                       PrimeSet, ceil_exact, crt_coset, factorize,
-                       is_prime, padic_abs, padic_fractional_part,
-                       padic_valuation, rational_residue)
+from adelicbrs import (ExactReal, FieldMismatch, PrimeSet, ceil_exact,
+                       crt_coset, factorize, is_prime, padic_abs,
+                       padic_fractional_part, padic_valuation,
+                       rational_residue)
 from adelicbrs.exact import _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d
 from conftest import coset_oracle, frac_part_oracle, val
 
@@ -140,12 +140,12 @@ def test_crt_coset_against_scan_oracle():
             h = rng.randint(-2, 2)
             r = Fraction(rng.randint(-10, 10), p ** rng.randint(0, 2))
             cons.append((p, h, r))
-        try:
-            c, delta = crt_coset(cons)
-        except InconsistentConstraints:
-            sols, _ = coset_oracle(cons)
-            assert sols == []
+        if len({p for p, _, _ in cons}) < len(cons):
+            # one ball per prime: a repeated prime is refused
+            with pytest.raises(ValueError):
+                crt_coset(cons)
             continue
+        c, delta = crt_coset(cons)
         sols, window = coset_oracle(cons)
         expected = []
         t = c
@@ -157,8 +157,18 @@ def test_crt_coset_against_scan_oracle():
 
 
 def test_crt_coset_inconsistent():
-    with pytest.raises(InconsistentConstraints):
+    with pytest.raises(ValueError):
         crt_coset([(2, -1, Fraction(0)), (2, -1, Fraction(1))])
+
+
+def test_crt_coset_extreme_radii():
+    # a radius exponent of a million costs milliseconds
+    e = 10 ** 6
+    assert crt_coset([(2, e, Fraction(0))]) == (0, Fraction(1, 2 ** e))
+    c, delta = crt_coset([(2, -e, Fraction(1, 3)), (3, 0, Fraction(0))])
+    assert delta == 2 ** e
+    assert 0 <= c < delta and c.denominator == 1
+    assert (3 * c - 1) % 2 ** e == 0
 
 
 # --- quadratic field elements ----------------------------------------------

@@ -123,7 +123,27 @@ def test_every_domain_error_has_an_exit_code():
     kinds = [kind for kind in vars(errors).values()
              if isinstance(kind, type) and issubclass(kind, errors.AdelicError)
              and kind is not errors.AdelicError]
-    assert len(kinds) >= 9
+    assert sorted(kind.__name__ for kind in kinds) == [
+        "ConditionViolated", "FieldMismatch", "NegativeIndicator",
+        "NegativeVolume", "PrimeSetMismatch", "TrivialCharacter",
+        "ZeroGamma"]
     for kind in kinds:
         assert kind in cli._INFEASIBLE + cli._BROKEN + ruled_out_by_config, \
             kind.__name__
+
+
+def test_one_place_raises_field_mismatch():
+    """The rule that two irrational reals share one radicand has one owner,
+    exact._common_radicand, which every other caller asks."""
+    raises = []
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = getattr(node.exc, "func", node.exc)
+                if "FieldMismatch" in (getattr(exc, "id", None),
+                                       getattr(exc, "attr", None)):
+                    raises.append((path.name, getattr(top, "name", None)))
+    assert raises == [("exact.py", "_common_radicand")]
