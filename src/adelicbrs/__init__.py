@@ -8,9 +8,8 @@ arithmetic is exact (integers, Fractions, quadratic irrationals);
 floating point appears only in reports and Weyl averages.
 """
 
-from .errors import (AdelicError, ConditionViolated, FieldMismatch,
-                     NegativeIndicator, NegativeVolume, PrimeSetMismatch,
-                     TrivialCharacter, ZeroGamma)
+from .errors import (AdelicError, FieldMismatch, NegativeIndicator,
+                     NegativeVolume, PrimeSetMismatch, ZeroGamma)
 from .exact import (ExactReal, PrimeSet, ceil_exact, crt_coset, factorize,
                     is_prime, padic_abs, padic_fractional_part,
                     padic_valuation, rational_residue)
@@ -29,9 +28,8 @@ from .cutproject import correspondence_check, window_multiplicity
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdelicError", "ConditionViolated", "FieldMismatch",
-    "NegativeIndicator", "NegativeVolume", "PrimeSetMismatch",
-    "TrivialCharacter", "ZeroGamma",
+    "AdelicError", "FieldMismatch", "NegativeIndicator", "NegativeVolume",
+    "PrimeSetMismatch", "ZeroGamma",
     "ExactReal", "PrimeSet", "ceil_exact", "crt_coset", "factorize",
     "is_prime", "padic_abs", "padic_fractional_part",
     "padic_valuation", "rational_residue",

@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (ConditionViolated, NegativeIndicator, NegativeVolume,
-                     PrimeSetMismatch, ZeroGamma)
+from .errors import (NegativeIndicator, NegativeVolume, PrimeSetMismatch,
+                     ZeroGamma)
 from .exact import (ExactReal, PrimeSet, RationalLike, _common_radicand,
                     _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d, ceil_exact,
                     crt_coset, factorize, padic_abs, padic_valuation)
@@ -248,6 +248,11 @@ def construct_brs(alpha: AdeleVector, gamma: RationalLike,
     return construct_witness(alpha, g, n).result
 
 
+def _reduced_exponent(g: Fraction, primes: PrimeSet) -> int:
+    """ell >= 1, the least exponent with g * (prod Q)**ell an integer."""
+    return max([1, *(-padic_valuation(g, p) for p in primes)])
+
+
 def construct_witness(alpha: AdeleVector, gamma: RationalLike,
                       n: int) -> BRSConstruction:
     """Like construct_brs for gamma != 0, with the full witness.
@@ -274,7 +279,7 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
     if not is_minimal(alpha):
         raise ValueError("rotation is not minimal; no BRS theory applies")
     sign = 1 if g > 0 else -1
-    ell = max([1, *(-padic_valuation(g, p) for p in alpha.primes)])
+    ell = _reduced_exponent(g, alpha.primes)
     g0 = Fraction(sign, math.prod(alpha.primes) ** ell)
     copies = g / g0
     assert copies.denominator == 1 and copies > 0
@@ -288,14 +293,8 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
     box_scale = 1
     balls = []
     for p, ap in alpha.parts:
-        z = lam1 + lam2 * ap
-        if z == 0:
-            raise ConditionViolated(f"lambda = -alpha_{p}")
-        v = padic_valuation(z, p)
-        if v < 0:
-            raise ConditionViolated(
-                f"lam1 + lam2*alpha_{p} is not {p}-integral")
-        box_scale *= p ** v
+        # nonzero by choose_n's veto, and p-integral as each of its terms is
+        box_scale *= p ** padic_valuation(lam1 + lam2 * ap, p)
         balls.append(PAdicBall(p, Fraction(0), -padic_valuation(lam + ap, p)))
     base_box = AdelicBox(ExactReal(0), abs(lam + alpha.real) * box_scale,
                          tuple(balls))

@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -30,12 +31,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from . import cutproject
-from .brs import (AdelicBox, PAdicBall, WeightedBoxSet, construct_brs,
-                  construct_witness, discrepancy_series, enumerate_volumes,
-                  reduce_to_finite, witness_flags)
-from .errors import (ConditionViolated, NegativeIndicator, NegativeVolume,
-                     PrimeSetMismatch, TrivialCharacter, ZeroGamma)
-from .exact import ExactReal, PrimeSet, is_prime
+from .brs import (AdelicBox, PAdicBall, WeightedBoxSet, _reduced_exponent,
+                  construct_brs, construct_witness, discrepancy_series,
+                  enumerate_volumes, reduce_to_finite, witness_flags)
+from .errors import (NegativeIndicator, NegativeVolume, PrimeSetMismatch,
+                     ZeroGamma)
+from .exact import _MR_LIMIT, ExactReal, PrimeSet, is_prime, padic_valuation
 from .solenoid import (AdeleVector, as_lattice, character_phase, is_minimal,
                        reduce_to_fundamental, weyl_sum)
 
@@ -44,11 +45,12 @@ DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
 # give: both are factored by trial division, about 0.04 s at this size
 MAX_FACTORED = 10**12
 # most bits of any integer a config gives (a numerator or denominator, an
-# exact-real component, a prime, a count or checkpoint) and of the measure
-# p**|e| of a control-box ball: outputs print exact values whose integers
-# are products of a few of these, and Python prints no integer above 4300
-# digits.  With every number of configs/two_primes.json at this size, the
-# longest integer any command prints has 2697 digits, in about 0.1 s
+# exact-real component, a count or checkpoint), and of the products that
+# grow with |Q|: the reduced index denominator (prod Q)**ell of gamma and of
+# weyl_gamma, and the products of alpha_padic's p-power denominators and of
+# the control-box ball measures p**|e|.  Outputs print products of a few of
+# these, and Python prints no integer above 4300 digits: with all of them at
+# the cap over Q = {2}, {2, 3} or 2..29, the longest has 2112 digits (0.3 s)
 MAX_BITS = 1000
 # longest orbit walk verify runs (its last checkpoint): about 15 s on
 # configs/two_primes.json at about 1.5 us per step.  weyl is closed form and
@@ -66,8 +68,7 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
-_INFEASIBLE = (NegativeVolume, ZeroGamma, TrivialCharacter,
-               ConditionViolated)
+_INFEASIBLE = (NegativeVolume, ZeroGamma)
 _BROKEN = (NegativeIndicator,)
 
 
@@ -117,13 +118,37 @@ def _require_bits(value: int, what: str) -> int:
     return value
 
 
+# the number grammar of config strings and --checkpoints tokens: ASCII
+# digits, checked before converting, as Fraction and int also take " ", "_",
+# ".", "١" and exponents, and Fraction("1e10000000") alone takes seconds
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def _parse_number(text: str, grammar: re.Pattern, what: str) -> Fraction:
+    """text as a Fraction, if it matches grammar."""
+    try:
+        if grammar.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # n/0, or above 4300 digits
+        pass
+    raise ConfigError(f"bad {what} {text!r}")
+
+
+def _require_product(factors: Iterable[int], what: str) -> int:
+    """The product of positive factors, refused once it passes MAX_BITS."""
+    total = 1
+    for factor in factors:
+        total = _require_bits(total * factor, what)
+    return total
+
+
 def parse_rational(value: Any) -> Fraction:
+    """A JSON integer, or a string "num" or "num/den"."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"expected a rational, got {value!r}")
-    try:
-        x = Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad rational {value!r}: {e}") from None
+    x = (Fraction(value) if isinstance(value, int)
+         else _parse_number(value, _RATIONAL, "rational"))
     _require_bits(max(abs(x.numerator), x.denominator),
                   "a rational's numerator or denominator")
     return x
@@ -166,11 +191,12 @@ def _parse_prime_map(obj: Any, what: str,
     for key, val in obj.items():
         try:
             p = int(key)
-        except ValueError:
-            p = 0
-        if key != str(p) or not is_prime(_require_bits(p, f"{what} key")):
-            raise ConfigError(f"{what} key {key!r} must be a prime "
-                              f"written in canonical decimal")
+            prime = key == str(p) and is_prime(p)
+        except ValueError:  # not an integer, or past is_prime's range
+            prime = False
+        if not prime:
+            raise ConfigError(f"{what} key {key!r} must be a prime below "
+                              f"psi_12 = {_MR_LIMIT}, in canonical decimal")
         out[p] = parse_value(val)
     return out
 
@@ -251,6 +277,13 @@ def load_config(data: dict) -> ExperimentConfig:
     weyl_gamma = parse_rational(data.get("weyl_gamma", data.get("gamma", 0)))
     _require_lattice(gamma, alpha, "gamma")
     _require_lattice(weyl_gamma, alpha, "weyl_gamma")
+    _require_product((p ** max(0, -padic_valuation(x, p))
+                      for p, x in alpha.parts),
+                     "the product of alpha_padic's p-power denominators")
+    for g, what in ((gamma, "gamma"), (weyl_gamma, "weyl_gamma")):
+        ell = _reduced_exponent(g, alpha.primes)
+        _require_product((p for _ in range(ell) for p in alpha.primes),
+                         f"{what}'s reduced denominator (prod Q)**{ell}")
     x0_real = _require_field(parse_exact_real(data.get("x0_real", 0)),
                              alpha, "x0_real")
     x0_padic = _parse_prime_map(data.get("x0_padic"), "x0_padic",
@@ -287,9 +320,9 @@ def load_config(data: dict) -> ExperimentConfig:
             balls.setdefault(p, 0)
         if sorted(balls) != list(alpha.primes):
             raise ConfigError("control_box.balls must use alpha's primes")
-        for p, e in balls.items():  # the exponent is capped, not the power
-            _require_bits(p ** min(abs(e), MAX_BITS + 1),
-                          f"control_box ball measure {p}**{e}")
+        _require_product((p ** min(abs(e), MAX_BITS + 1)  # cap e, not p**e
+                          for p, e in balls.items()),
+                         "the product of the control_box ball measures")
         try:
             control_box = AdelicBox(
                 _require_field(parse_exact_real(cb.get("real_lo", 0)),
@@ -709,11 +742,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     overrides: dict[str, Any] = {}
     if args.checkpoints is not None:
-        try:
-            overrides["checkpoints"] = [int(tok) for tok in
-                                        args.checkpoints.split(",")]
-        except ValueError:
-            raise ConfigError("bad --checkpoints") from None
+        overrides["checkpoints"] = [
+            int(_parse_number(tok, _NATURAL, "--checkpoints token"))
+            for tok in args.checkpoints.split(",")]
     for key in ("seed", "bound", "cutproject_n"):  # flags store to keys
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)

@@ -65,7 +65,7 @@ def window_multiplicity(window: AdelicBox, alpha: AdeleVector,
         (xa - end.a * (r // end.c)) * den * q + e * r * num,
         (xb - end.b * (r // end.c)) * den * q, r * num * q, d)
         for end in (lo, hi))
-    return max(0, neg_lo - neg_hi)
+    return neg_lo - neg_hi  # never negative, as lo < hi
 
 
 def _window_counts(window: AdelicBox, alpha: AdeleVector,
@@ -102,8 +102,8 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
             d = _common_radicand(a, lo, hi)
         xa = k * step_a + -(e0 + k * e1) % q * rn
         xb = k * step_b
-        yield max(0, _floor_a_plus_b_sqrt_d(lo_a + xa, lo_b + xb, c, d)
-                  - _floor_a_plus_b_sqrt_d(hi_a + xa, hi_b + xb, c, d))
+        yield (_floor_a_plus_b_sqrt_d(lo_a + xa, lo_b + xb, c, d)
+               - _floor_a_plus_b_sqrt_d(hi_a + xa, hi_b + xb, c, d))
 
 
 def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,

@@ -18,20 +18,12 @@ class PrimeSetMismatch(AdelicError, ValueError):
     """Two adelic objects are indexed by different prime sets."""
 
 
-class TrivialCharacter(AdelicError, ValueError):
-    """gamma = 0 selects the trivial character; the request is vacuous."""
-
-
-class ConditionViolated(AdelicError, ArithmeticError):
-    """The nondegeneracy condition on lambda fails (lambda = -alpha_p)."""
-
-
 class NegativeVolume(AdelicError, ValueError):
     """A requested target volume is negative, so no set can realize it."""
 
 
 class ZeroGamma(AdelicError, ValueError):
-    """gamma = 0 cannot be decomposed against a scaled denominator."""
+    """gamma = 0 where a witness or a Weyl average needs a nonzero index."""
 
 
 class NegativeIndicator(AdelicError, ArithmeticError):

@@ -20,14 +20,14 @@ from .errors import FieldMismatch
 RationalLike = Union[int, Fraction]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
-
-    The fixed base set is provably correct up to 3.3 * 10**24, which far
-    exceeds any prime a caller can realistically index a solenoid with.
-    """
+    """Deterministic Miller-Rabin primality test below psi_12, the least
+    composite that passes all of _MR_BASES; from psi_12 on, ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime decides only n below psi_12 = {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -115,11 +115,8 @@ def padic_valuation(x: RationalLike, p: int) -> Union[int, float]:
 
 def padic_abs(x: RationalLike, p: int) -> Fraction:
     """Normalized p-adic absolute value |x|_p = p**(-v_p(x)); |0|_p = 0."""
-    x = Fraction(x)
-    if x == 0:
-        _require_prime(p)
-        return Fraction(0)
-    return Fraction(p) ** (-padic_valuation(x, p))
+    v = padic_valuation(x, p)
+    return Fraction(0) if v == math.inf else Fraction(p) ** -v
 
 
 def rational_residue(x: RationalLike, p: int, e: int) -> int:
@@ -147,8 +144,6 @@ def padic_fractional_part(x: RationalLike, p: int) -> Fraction:
     """
     _require_prime(p)
     x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
     k = _int_valuation(x.denominator, p)
     if k == 0:
         return Fraction(0)
@@ -271,45 +266,32 @@ class ExactReal:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int = 0, b: int = 0, c: int = 1, d: int = 0):
+    def __new__(cls, a: int = 0, b: int = 0, c: int = 1, d: int = 0):
         if c == 0:
             raise ZeroDivisionError("zero denominator in ExactReal")
         if d < 0:
             raise ValueError("radicand must be nonnegative")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        if d == 0:
+        if not d:
             b = 0
-        elif b == 0:
-            d = 0
-        else:
-            s, d0 = _squarefree_split(d)
+        elif b:
+            s, d = _squarefree_split(d)
             b *= s
-            if d0 == 1:
-                a, b, d = a + b, 0, 0
-            else:
-                d = d0
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+            if d == 1:
+                a, b = a + b, 0
+        return cls._reduced(a, b, c, d)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactReal is immutable")
 
-    # construction helpers
     @classmethod
     def _reduced(cls, a: int, b: int, c: int, d: int) -> "ExactReal":
-        """Arithmetic fast path: components already integers and d
-        already squarefree, so only sign and gcd normalization remain."""
+        """The one canonicalisation: integer components, with d squarefree
+        or b = 0, get their sign and gcd normalized."""
         if c < 0:
             a, b, c = -a, -b, -c
         if b == 0:
             d = 0
-        g = math.gcd(math.gcd(a, b), c)
+        g = math.gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
         self = object.__new__(cls)
@@ -326,7 +308,7 @@ class ExactReal:
     @classmethod
     def from_rational(cls, x: RationalLike) -> "ExactReal":
         x = Fraction(x)
-        return cls(x.numerator, 0, x.denominator, 0)
+        return cls._reduced(x.numerator, 0, x.denominator, 0)
 
     # predicates and conversions
     def is_rational(self) -> bool:
@@ -380,11 +362,8 @@ class ExactReal:
     def _coerce(self, other) -> "ExactReal":
         if isinstance(other, ExactReal):
             return other
-        if isinstance(other, int):
-            return ExactReal._reduced(other, 0, 1, 0)
-        if isinstance(other, Fraction):
-            return ExactReal._reduced(other.numerator, 0,
-                                      other.denominator, 0)
+        if isinstance(other, (int, Fraction)):
+            return ExactReal._reduced(other.numerator, 0, other.denominator, 0)
         return NotImplemented  # type: ignore[return-value]
 
     # arithmetic

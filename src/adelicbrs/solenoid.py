@@ -15,7 +15,7 @@ import cmath
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import PrimeSetMismatch, TrivialCharacter
+from .errors import PrimeSetMismatch, ZeroGamma
 from .exact import (ExactReal, PrimeSet, RationalLike, padic_fractional_part,
                     padic_valuation)
 
@@ -198,7 +198,7 @@ def weyl_sum(gamma: RationalLike, alpha: AdeleVector, n: int) -> complex:
         raise ValueError("n must be positive")
     g = as_lattice(gamma, alpha.primes)
     if g == 0:
-        raise TrivialCharacter("gamma = 0 averages the constant 1")
+        raise ZeroGamma("gamma = 0 averages the constant 1")
     if not is_minimal(alpha):
         raise ValueError("rotation is not minimal; Weyl averages degenerate")
     theta = character_phase(g, alpha)

@@ -17,7 +17,7 @@ from adelicbrs import (AdelicBox, AdeleVector, ExactReal, FieldMismatch,
                        reduce_to_finite, reduce_to_fundamental,
                        witness_flags, zero_point)
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
-                      random_gamma, with_extra_primes)
+                      random_gamma, val, with_extra_primes)
 
 P2 = PrimeSet([2])
 SQRT2 = ExactReal.sqrt(2)
@@ -312,6 +312,27 @@ def test_construct_witness_seeded_properties():
         assert window * w.box_scale == w.xi
         assert w.box_scale >= 1
         assert all(witness_flags(alpha, w.result, w).values())
+        done += 1
+
+
+def test_construct_witness_keeps_lambda_nondegenerate_seeded():
+    # construct_witness relies on this without checking it: choose_n
+    # keeps lam1 + lam2*alpha_p away from 0, and each of its terms
+    # {g0*alpha_q}_q (q != p), n0 and {g0*alpha_p}_p - g0*alpha_p is
+    # p-integral, so box_scale is a product of nonnegative prime powers
+    rng = Random(19)
+    done = 0
+    while done < 200:
+        alpha = random_alpha(rng)
+        gamma = random_gamma(rng, alpha.primes)
+        if gamma == 0:
+            continue
+        n = choose_n(alpha, gamma) + rng.randint(0, 2)
+        assert allowable_volume(alpha, gamma, n) >= 0
+        w = construct_witness(alpha, gamma, n)
+        for p, ap in alpha.parts:
+            z = w.lam1 + w.lam2 * ap
+            assert z != 0 and val(z, p) >= 0, (alpha, gamma, p)
         done += 1
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -109,6 +110,18 @@ def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     assert (tmp_path / "kept").is_dir()
 
 
+TEN = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+FIFTEEN = TEN + (31, 37, 41, 43, 47)
+
+
+def _power_below(p: int, bits: int) -> int:
+    """The largest k with p**k at most bits bits long."""
+    k = 1
+    while (p ** (k + 1)).bit_length() <= bits:
+        k += 1
+    return k
+
+
 def test_config_errors_exit_3(tmp_path, capsys):
     code, _ = run(tmp_path, "construct", {"alpha_padic": {}})
     assert code == 3
@@ -185,13 +198,44 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("weyl", dict(shipped("worked_example"),
                           alpha_padic={"2": f"1/{2 ** 13000}"})),
             ("weyl", dict(shipped("worked_example"),
-                          alpha_real={"b": 1, "c": 10 ** 4000, "d": 2}))]:
+                          alpha_real={"b": 1, "c": 10 ** 4000, "d": 2})),
+            # products that grow with |Q|, each factor inside MAX_BITS: the
+            # reduced index (2*3*...*29)**999, fifteen 1000-bit p-power
+            # denominators, fifteen 1000-bit ball measures
+            ("construct", dict(shipped("worked_example"),
+                               alpha_padic=dict.fromkeys(map(str, TEN), "0"),
+                               gamma=f"1/{2 ** 999}")),
+            ("weyl", dict(shipped("worked_example"), alpha_padic={
+                str(p): f"1/{p ** _power_below(p, 1000)}"
+                for p in FIFTEEN})),
+            ("verify", dict(shipped("control_box"),
+                            alpha_padic=dict.fromkeys(map(str, FIFTEEN), "0"),
+                            control_box=dict(
+                                shipped("control_box")["control_box"],
+                                balls={str(p): -_power_below(p, 1000)
+                                       for p in FIFTEEN}))),
+            # prime keys from psi_12 on, where is_prime's bases stop
+            # deciding: psi_12 and psi_13 are composites that pass them
+            # all, 2**89 - 1 is a prime
+            *(("construct", dict(WORKED, alpha_padic={str(n): "0"},
+                                 gamma=f"1/{n}"))
+              for n in (318665857834031151167461,
+                        3317044064679887385961981, 2 ** 89 - 1)),
+            # strings off the number grammar that Fraction would take
+            *(("construct", dict(WORKED, gamma=text))
+              for text in ("1e3000000", "0.5", " 1/2", "1_0", "\u0661/\u0662",
+                           "+1/2", "1/-2"))]:
         capsys.readouterr()
         code, out = run(tmp_path, command, config)
         err = capsys.readouterr().err
         assert code == 3, (command, config)
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists(), (command, config)
+    # the grammar is checked before Fraction, which would spend about 11 s
+    # expanding this exponent
+    start = time.perf_counter()
+    assert run(tmp_path, "construct", dict(WORKED, gamma="1e10000000"))[0] == 3
+    assert time.perf_counter() - start < 0.5
 
 
 def test_duplicate_config_keys_exit_3(tmp_path, capsys):
@@ -236,7 +280,8 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("tokens", ["10,,60", "10,x"])
+@pytest.mark.parametrize("tokens", ["10,,60", "10,x", "1_0,2_0", " 10, 20",
+                                    "\u0661\u0660,\u0662\u0660", "+10,20"])
 def test_bad_checkpoints_flag_exits_3(tmp_path, capsys, tokens):
     # an empty token is an error too, never silently dropped
     capsys.readouterr()

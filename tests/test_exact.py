@@ -11,7 +11,7 @@ from adelicbrs import (ExactReal, FieldMismatch, PrimeSet, ceil_exact,
                        padic_fractional_part, padic_valuation,
                        rational_residue)
 from adelicbrs.exact import _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d
-from conftest import coset_oracle, frac_part_oracle, val
+from conftest import SQUAREFREE, coset_oracle, frac_part_oracle, val
 
 
 def trial_division_prime(n: int) -> bool:
@@ -25,6 +25,39 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_division_prime(n), n
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
+
+
+# the least composites that pass the strong test to every prime base up to
+# 37 (psi_12) and up to 41 (psi_13)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1
+                                  for i in range(1, r))
+
+
+def test_is_prime_refuses_the_pseudoprimes_of_its_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    for n in (PSI_12, PSI_13):
+        # every base up to 37 calls n prime, so only the range can refuse
+        assert all(strong_probable_prime(n, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeSet([n])
+    with pytest.raises(ValueError):
+        is_prime(PSI_12 + 2)
+    assert not is_prime(PSI_12 - 1)
 
 
 def test_prime_set_sorts_and_dedups():
@@ -185,6 +218,33 @@ def test_exact_real_canonical_form():
     assert (w.a, w.b, w.c, w.d) == (1, 2, 3, 3)
     n = ExactReal(1, 1, -2, 2)
     assert n.c == 2 and n.a == -1 and n.b == -1
+
+
+def test_exact_real_folds_the_radicand_before_reducing():
+    # (a, b, c, d) -> the canonical components, each case one fold
+    for args, want in [
+            ((0, 1, 1, 8), (0, 2, 1, 2)),  # square part of d into b
+            ((3, 1, 1, 9), (6, 0, 1, 0)),  # square d: 3 + sqrt(9) = 6
+            ((3, 2, 4, 1), (5, 0, 4, 0)),  # d = 1: 3 + 2 = 5
+            ((3, 5, 6, 0), (1, 0, 2, 0)),  # d = 0 drops b
+            ((1, 1, -2, 2), (-1, -1, 2, 2)),  # c < 0 moves the sign
+            ((2, 6, -4, 12), (-1, -6, 2, 3))]:  # all of it, then the gcd
+        x = ExactReal(*args)
+        assert (x.a, x.b, x.c, x.d) == want, args
+        y = ExactReal._reduced(*want)
+        assert (y.a, y.b, y.c, y.d) == want, args
+
+
+def test_exact_real_constructor_matches_reduced_for_squarefree_d():
+    # with nothing to fold, the constructor is exactly the one
+    # canonicalisation, ExactReal._reduced
+    rng = Random(23)
+    for _ in range(500):
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        c = rng.choice([-1, 1]) * rng.randint(1, 60)
+        d = rng.choice(SQUAREFREE)
+        x, y = ExactReal(a, b, c, d), ExactReal._reduced(a, b, c, d)
+        assert (x.a, x.b, x.c, x.d) == (y.a, y.b, y.c, y.d), (a, b, c, d)
 
 
 def test_exact_real_rejects_bad_input():

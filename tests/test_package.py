@@ -124,9 +124,8 @@ def test_every_domain_error_has_an_exit_code():
              if isinstance(kind, type) and issubclass(kind, errors.AdelicError)
              and kind is not errors.AdelicError]
     assert sorted(kind.__name__ for kind in kinds) == [
-        "ConditionViolated", "FieldMismatch", "NegativeIndicator",
-        "NegativeVolume", "PrimeSetMismatch", "TrivialCharacter",
-        "ZeroGamma"]
+        "FieldMismatch", "NegativeIndicator", "NegativeVolume",
+        "PrimeSetMismatch", "ZeroGamma"]
     for kind in kinds:
         assert kind in cli._INFEASIBLE + cli._BROKEN + ruled_out_by_config, \
             kind.__name__
@@ -147,3 +146,43 @@ def test_one_place_raises_field_mismatch():
                                        getattr(exc, "attr", None)):
                     raises.append((path.name, getattr(top, "name", None)))
     assert raises == [("exact.py", "_common_radicand")]
+
+
+def test_exact_real_is_canonicalised_in_one_routine():
+    """Only ExactReal._reduced allocates an ExactReal and sets its slots,
+    so every construction, public or arithmetic, ends in the same sign
+    and gcd normalization."""
+    tree = ast.parse((ROOT / "src" / "adelicbrs" / "exact.py")
+                     .read_text(encoding="utf-8"))
+    sites = []
+    for top in tree.body:
+        for scope in ([top] if not isinstance(top, ast.ClassDef)
+                      else top.body):
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "object"
+                        and node.attr in ("__new__", "__setattr__")):
+                    sites.append((getattr(top, "name", None),
+                                  getattr(scope, "name", None), node.attr))
+    assert sorted(set(sites)) == [
+        ("ExactReal", "_reduced", "__new__"),
+        ("ExactReal", "_reduced", "__setattr__")]
+
+
+def test_every_domain_error_is_raised():
+    """An AdelicError subclass that nothing raises is a rule with no
+    statement left: it belongs in neither errors.py nor the exit-code
+    table."""
+    raised = set()
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    kinds = [name for name, kind in vars(errors).items()
+             if isinstance(kind, type) and issubclass(kind, errors.AdelicError)
+             and kind is not errors.AdelicError]
+    assert kinds
+    for name in kinds:
+        assert name in raised, name

@@ -5,9 +5,9 @@ from random import Random
 import pytest
 
 from adelicbrs import (AdeleVector, ExactReal, PrimeSet, PrimeSetMismatch,
-                       SolenoidPoint, TrivialCharacter, as_lattice,
-                       character_phase, is_minimal, orbit,
-                       reduce_to_fundamental, rotate, weyl_sum, zero_point)
+                       SolenoidPoint, ZeroGamma, as_lattice, character_phase,
+                       is_minimal, orbit, reduce_to_fundamental, rotate,
+                       weyl_sum, zero_point)
 from conftest import diagonal, random_alpha, random_gamma
 
 P2 = PrimeSet([2])
@@ -169,7 +169,7 @@ def test_weyl_sum_matches_orbit_characters():
 
 
 def test_weyl_sum_guards():
-    with pytest.raises(TrivialCharacter):
+    with pytest.raises(ZeroGamma):
         weyl_sum(Fraction(0), ALPHA, 10)
     with pytest.raises(ValueError):
         weyl_sum(Fraction(1, 2), ALPHA, 0)
