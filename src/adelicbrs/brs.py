@@ -238,13 +238,9 @@ def construct_brs(alpha: AdeleVector, gamma: RationalLike,
     """Bounded remainder set of volume xi(alpha, gamma, n) as a weighted
     box set; see construct_witness for the full audit trail."""
     g = as_lattice(gamma, alpha.primes)
-    if g == 0:
-        if n < 0:
-            raise NegativeVolume(f"xi' = {n} < 0")
-        if n == 0:
-            return WeightedBoxSet((), ExactReal(0), 0, g, n)
-        full = AdelicBox.full_domain(alpha.primes)
-        return WeightedBoxSet(((full, n),), ExactReal(n), 0, g, n)
+    if g == 0:  # n full-domain boxes; the constructor refuses n < 0
+        terms = ((AdelicBox.full_domain(alpha.primes), n),) if n else ()
+        return WeightedBoxSet(terms, ExactReal(n), 0, g, n)
     return construct_witness(alpha, g, n).result
 
 
@@ -268,14 +264,13 @@ def construct_witness(alpha: AdeleVector, gamma: RationalLike,
     copies, and surplus full-domain boxes (an integer, possibly negative)
     top the volume up to the target xi' = xi(alpha, gamma, n).  Negative
     full-box weight is certified by the exact floor of the fused box
-    volume, which lower-bounds its lift count at every point.
+    volume, which lower-bounds its lift count at every point.  A negative
+    xi' is refused by the WeightedBoxSet constructor.
     """
     g = as_lattice(gamma, alpha.primes)
     if g == 0:
         raise ZeroGamma("gamma = 0 has no reduced index")
     xi_target = allowable_volume(alpha, g, n)
-    if xi_target < 0:
-        raise NegativeVolume(f"xi' = {xi_target.exact_str()}")
     if not is_minimal(alpha):
         raise ValueError("rotation is not minimal; no BRS theory applies")
     sign = 1 if g > 0 else -1

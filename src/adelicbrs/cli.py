@@ -2,14 +2,16 @@
 
 Subcommands: volumes, construct, verify, cutproject, weyl, batch.
 A run is parse, compute, write.  Each cmd_* is a function of its config
-that returns its output files as text and its verdict fields; _run_single
-alone derives the verdict's pass, writes every file into --out with
-verdict.json last, and turns pass into the exit code.  A run exits
-0 (all checks pass), 1 (a verified property failed), 2 (infeasible
-input), 3 (bad command line, bad config, an input above its cap, or an
-output that cannot be written), or 4 (internal error: any other
-exception, reported in one line without a traceback).  A run that exits
-2-4 writes no file.
+that first rejects a config it cannot run (a cap on work with no other
+bound, a plateau test with one checkpoint, a cut-and-project check with
+nothing to check), then returns its output files as text and its verdict
+fields; _run_single alone derives the verdict's pass, writes every file
+into --out with verdict.json last, and turns pass into the exit code.  A
+run exits 0 (all checks pass), 1 (a verified property failed), 2
+(infeasible input), 3 (bad command line, bad config, an input above its
+cap, or an output that cannot be written), or 4 (internal error: any
+other exception, reported in one line without a traceback).  A run that
+exits 2-4 writes no file.
 
 Outputs are deterministic: identical config and seed produce
 byte-identical CSV and verdict files.  Figures (--svg) are diagnostic
@@ -118,11 +120,12 @@ def _require_bits(value: int, what: str) -> int:
     return value
 
 
-# the number grammar of config strings and --checkpoints tokens: ASCII
-# digits, checked before converting, as Fraction and int also take " ", "_",
-# ".", "١" and exponents, and Fraction("1e10000000") alone takes seconds
+# the number grammar of config strings and of every number a flag gives:
+# ASCII digits, checked before converting, as Fraction and int also take
+# " ", "_", ".", "+", "١" and exponents, and Fraction("1e10000000") alone
+# takes seconds.  A flag's range is checked with its config key's.
+_INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_NATURAL = re.compile(r"[0-9]+")
 
 
 def _parse_number(text: str, grammar: re.Pattern, what: str) -> Fraction:
@@ -449,33 +452,12 @@ def svg_text(series, logx: bool = False, logy: bool = False) -> str:
 # --- subcommands ----------------------------------------------------------
 
 
-def _check_command(command: str, cfg: ExperimentConfig) -> None:
-    """Reject a config that the command itself cannot run: the caps on
-    work with no other bound, a plateau test with one checkpoint and a
-    cut-and-project check with nothing to check."""
-    if command == "volumes":
-        k = len(cfg.alpha.primes)
-        if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
-            raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
-                              f"than {MAX_VOLUMES} candidate volumes "
-                              f"(bound+1)**{k + 1} * (2*bound+1)")
-    elif command == "verify" and len(cfg.checkpoints) < 2:
-        raise ConfigError("verify needs at least two checkpoints, as its "
-                          "plateau test compares the last two")
-    elif command == "verify" and cfg.checkpoints[-1] > MAX_WALK:
-        raise ConfigError(f"last checkpoint {cfg.checkpoints[-1]} is above "
-                          f"{MAX_WALK}, the longest orbit walk verify runs")
-    elif command == "cutproject":
-        if cfg.cutproject_n > MAX_CUTPROJECT:
-            raise ConfigError(f"cutproject_n {cfg.cutproject_n} is above "
-                              f"{MAX_CUTPROJECT}, the most candidates "
-                              f"cutproject counts")
-        if cfg.gamma == 0 and cfg.n == 0:
-            raise ConfigError("cutproject needs a construction to cross-check,"
-                              " and gamma 0 with n 0 builds the empty set")
-
-
 def cmd_volumes(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
+    k = len(cfg.alpha.primes)
+    if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
+        raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
+                          f"than {MAX_VOLUMES} candidate volumes "
+                          f"(bound+1)**{k + 1} * (2*bound+1)")
     elements = enumerate_volumes(cfg.alpha, cfg.bound)
     rows = [[str(el.gamma), str(el.n), el.value.exact_str(),
              el.value.decimal_str()] for el in elements]
@@ -516,6 +498,13 @@ def cmd_construct(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
 
 
 def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
+    checkpoints = cfg.checkpoints
+    if len(checkpoints) < 2:
+        raise ConfigError("verify needs at least two checkpoints, as its "
+                          "plateau test compares the last two")
+    if checkpoints[-1] > MAX_WALK:
+        raise ConfigError(f"last checkpoint {checkpoints[-1]} is above "
+                          f"{MAX_WALK}, the longest orbit walk verify runs")
     if cfg.control_box is not None:
         box = cfg.control_box
         boxset = WeightedBoxSet(((box, 1),), box.volume(), 0)
@@ -524,7 +513,6 @@ def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
         boxset, info = _construction_verdict(cfg)
         info["mode"] = "construction"
 
-    checkpoints = cfg.checkpoints
     wanted = _sample_checkpoints(checkpoints) if svg else checkpoints
     summary = discrepancy_series(boxset, cfg.alpha, starting_point(cfg),
                                  wanted)
@@ -549,7 +537,7 @@ def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
             ("checkpoints", "dots",
              [(r.n, r.value.to_float()) for r in records])], logx=True)
 
-    sups = [r.running_sup for r in records]  # two or more, by _check_command
+    sups = [r.running_sup for r in records]  # two or more, checked above
     return files, {
         **info, "flags": {
             **info.get("flags", {}),
@@ -566,6 +554,12 @@ def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
 
 def cmd_cutproject(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     count = cfg.cutproject_n
+    if count > MAX_CUTPROJECT:
+        raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
+                          f"the most candidates cutproject counts")
+    if cfg.gamma == 0 and cfg.n == 0:
+        raise ConfigError("cutproject needs a construction to cross-check,"
+                          " and gamma 0 with n 0 builds the empty set")
     boxset, info = _construction_verdict(cfg)
     counts, agrees = cutproject.correspondence_check(boxset, cfg.alpha, count)
     files = {"cutpoints.csv": csv_text(
@@ -608,13 +602,24 @@ def cmd_weyl(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     }
 
 
+# the one table of subcommands: each name's function, its help line and
+# the (flag, help line) of any integer flag of its own.  batch, which runs
+# a list of them, is not one of them.
 _COMMANDS = {
-    "volumes": cmd_volumes,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "cutproject": cmd_cutproject,
-    "weyl": cmd_weyl,
+    "volumes": (cmd_volumes, "enumerate allowable volumes up to a bound",
+                ("--bound", "enumeration bound override")),
+    "construct": (cmd_construct, "build a BRS box set with exact witnesses"),
+    "verify": (cmd_verify, "run the exact discrepancy series at checkpoints"),
+    "cutproject": (cmd_cutproject, "cross-check lift counts against the "
+                   "cut-and-project counter",
+                   ("--count", "number of gamma_1 candidates")),
+    "weyl": (cmd_weyl,
+             "evaluate Weyl character averages against the exact bound"),
 }
+_BATCH_HELP = "run a list of experiments from one config"
+# each flag that gives an integer, and the config key it overrides
+_INTEGER_FLAGS = {"--seed": "seed", "--bound": "bound",
+                  "--count": "cutproject_n"}
 
 
 def cmd_batch(data: dict, outdir: Path, svg: bool,
@@ -669,8 +674,7 @@ def _run_single(command: str, data: dict, outdir: Path, svg: bool) -> int:
     and exit code and writes its files.  pass holds when every flag does,
     except growth_detected, which reports growth."""
     cfg = load_config(data)
-    _check_command(command, cfg)
-    files, fields = _COMMANDS[command](cfg, svg)
+    files, fields = _COMMANDS[command][0](cfg, svg)
     passed = all(holds for flag, holds in fields.get("flags", {}).items()
                  if flag != "growth_detected")
     _write(outdir, {**files, "verdict.json": _json(
@@ -686,16 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adelicbrs",
         description="Exact bounded remainder sets on p-adic solenoids")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "volumes": "enumerate allowable volumes up to a bound",
-        "construct": "build a BRS box set with exact witnesses",
-        "verify": "run the exact discrepancy series at checkpoints",
-        "cutproject": "cross-check lift counts against the cut-and-project "
-                      "counter",
-        "weyl": "evaluate Weyl character averages against the exact bound",
-        "batch": "run a list of experiments from one config",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, *flags) in {
+            **_COMMANDS, "batch": (cmd_batch, _BATCH_HELP)}.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, metavar="PATH",
                         help="JSON config file")
@@ -704,17 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "or ./out)")
         sp.add_argument("--checkpoints", metavar="CSV-LIST",
                         help="comma-separated checkpoint overrides")
-        sp.add_argument("--seed", type=int,
-                        help="seed recorded in the verdict")
+        sp.add_argument("--seed", help="seed recorded in the verdict")
         sp.add_argument("--svg", action="store_true",
                         help="also render diagnostic figures")
-        if name == "volumes":
-            sp.add_argument("--bound", type=int,
-                            help="enumeration bound override")
-        if name == "cutproject":
-            sp.add_argument("--count", type=int, dest="cutproject_n",
-                            metavar="COUNT",
-                            help="number of gamma_1 candidates")
+        for flag, flag_help in flags:
+            sp.add_argument(flag, dest=_INTEGER_FLAGS[flag],
+                            metavar=flag[2:].upper(), help=flag_help)
     return parser
 
 
@@ -735,7 +726,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     try:
         with open(args.config, encoding="utf-8") as f:
             data = json.load(f, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
+    # unreadable, not UTF-8, not JSON, or nested too deep to decode
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(str(e)) from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -743,11 +735,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     overrides: dict[str, Any] = {}
     if args.checkpoints is not None:
         overrides["checkpoints"] = [
-            int(_parse_number(tok, _NATURAL, "--checkpoints token"))
+            int(_parse_number(tok, _INTEGER, "--checkpoints token"))
             for tok in args.checkpoints.split(",")]
-    for key in ("seed", "bound", "cutproject_n"):  # flags store to keys
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
+    for flag, key in _INTEGER_FLAGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            overrides[key] = int(_parse_number(text, _INTEGER, flag))
 
     out = data.get("out", "out")
     if not isinstance(out, str):

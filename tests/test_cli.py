@@ -97,12 +97,21 @@ def test_infeasible_negative_volume_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "construct", config)
     assert code == 2
     assert capsys.readouterr().err == \
-        "infeasible: xi' = -19/4 - (1/2)*sqrt(2)\n"
+        "infeasible: claimed volume -19/4 - (1/2)*sqrt(2)\n"
     # the run makes no directory, parents included, and keeps one that
     # already existed
     for command in ("construct", "verify", "cutproject"):
         assert main([command, "--config", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    # gamma 0 builds n full-domain boxes, so n -1 is the same refusal
+    (tmp_path / "config.json").write_text(
+        json.dumps(dict(WORKED, gamma="0", n=-1)), encoding="utf-8")
+    for command in ("construct", "verify", "cutproject"):
+        capsys.readouterr()
+        assert main([command, "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "infeasible: claimed volume -1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
     (tmp_path / "kept").mkdir()
     assert main(["construct", "--config", str(tmp_path / "config.json"),
@@ -176,6 +185,18 @@ def test_config_errors_exit_3(tmp_path, capsys):
                                                     "02": "1/4"})),
             ("verify", dict(WORKED, x0_padic={"2.0": "1"})),
             ("batch", {"experiments": [{"command": [], "config": WORKED}]}),
+            # a zero denominator and a negative radicand, values of the
+            # wrong type, a ball off alpha's primes, an empty real interval
+            ("verify", dict(WORKED, x0_real={"b": 1, "c": 0, "d": 2})),
+            ("verify", dict(WORKED, x0_real={"b": 1, "d": -2})),
+            ("verify", dict(WORKED, x0_padic=[1])),
+            ("verify", dict(WORKED, control_box=[1])),
+            ("verify", dict(WORKED, control_box=dict(control,
+                                                     balls={"3": 0}))),
+            ("verify", dict(WORKED, control_box=dict(control, balls={},
+                                                     real_lo="1/2"))),
+            ("batch", {"experiments": [1]}),
+            ("batch", {"experiments": [{"command": "construct"}]}),
             # a radicand or an infinite_q gamma denominator above 10**12,
             # which trial division would take hours to factor
             ("construct", dict(WORKED, alpha_real={
@@ -270,11 +291,13 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     cfg.write_text(json.dumps(WORKED), encoding="utf-8")
     for argv, message in [
             (["verify"], "--config"),
-            (["verify", "--config", str(cfg), "--count", "3"], "--count 3"),
-            (["verify", "--config", str(cfg), "--seed", "abc"], "'abc'")]:
+            (["verify", "--config", str(cfg), "--count", "3"], "--count 3")]:
         capsys.readouterr()
         assert main(argv) == 3
         assert message in _one_line_error(capsys, "usage error:")
+    # a flag's number goes through the config grammar, not argparse
+    assert main(["verify", "--config", str(cfg), "--seed", "abc"]) == 3
+    _one_line_error(capsys, "config error: bad --seed 'abc'")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
@@ -289,6 +312,51 @@ def test_bad_checkpoints_flag_exits_3(tmp_path, capsys, tokens):
     assert code == 3
     _one_line_error(capsys, "config error: bad --checkpoints")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("construct", "--seed"), ("volumes", "--bound"),
+    ("cutproject", "--count")])
+@pytest.mark.parametrize("text", ["1_0", " 2", "\u0663", "+2", "abc"])
+def test_integer_flags_take_the_config_grammar(tmp_path, capsys, command,
+                                               flag, text):
+    # argparse's int would run 1_0 as 10 and " 2" and an Arabic-Indic 3
+    # as 2 and 3
+    capsys.readouterr()
+    code, out = run(tmp_path, command, WORKED, flag, text)
+    assert code == 3
+    assert capsys.readouterr().err == f"config error: bad {flag} {text!r}\n"
+    assert not out.exists()
+
+
+def test_flag_ranges_are_the_config_key_ranges(tmp_path, capsys):
+    for command, flag, message in [
+            ("volumes", "--bound=-1", "bound must be >= 0, got -1"),
+            ("cutproject", "--count=0", "cutproject_n must be >= 1, got 0"),
+            ("verify", "--checkpoints=-5,10",
+             "checkpoints must be strictly increasing positive integers")]:
+        capsys.readouterr()
+        code, out = run(tmp_path, command, WORKED, flag)
+        assert code == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+def test_deeply_nested_config_exits_3(tmp_path, capsys):
+    # json.load raises RecursionError past the interpreter's depth limit
+    deep = "[" * 100000 + "]" * 100000
+    for command, text in [
+            ("construct", deep),
+            ("construct", '{"alpha_real": %s}' % deep),
+            ("batch", '{"experiments": %s}' % deep)]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "maximum recursion depth" in _one_line_error(capsys,
+                                                            "config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_main_builds_the_parser_once(monkeypatch, tmp_path):

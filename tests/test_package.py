@@ -186,3 +186,49 @@ def test_every_domain_error_is_raised():
     assert kinds
     for name in kinds:
         assert name in raised, name
+
+
+def _cli_tree():
+    return ast.parse((ROOT / "src" / "adelicbrs" / "cli.py")
+                     .read_text(encoding="utf-8"))
+
+
+def test_no_flag_is_converted_by_argparse():
+    """Every number a flag gives goes through the config grammar, so no
+    add_argument call passes type=, whose int takes "1_0" or " 2"."""
+    calls = [node for node in ast.walk(_cli_tree())
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"]
+    assert calls
+    for node in calls:
+        assert "type" not in {kw.arg for kw in node.keywords}, node.lineno
+
+
+def test_subcommands_are_dispatched_only_through_the_table():
+    """No subcommand name of cli._COMMANDS is compared (== or in) in
+    cli.py, so the table is the one dispatch on a name; batch is not in
+    the table."""
+    names = set(cli._COMMANDS)
+    assert "batch" not in names
+    for node in ast.walk(_cli_tree()):
+        if not isinstance(node, ast.Compare):
+            continue
+        for side in (node.left, *node.comparators):
+            for leaf in ast.walk(side):
+                assert not (isinstance(leaf, ast.Constant)
+                            and leaf.value in names), node.lineno
+
+
+def test_one_place_raises_negative_volume():
+    """The WeightedBoxSet constructor alone refuses a negative claimed
+    volume; every construction reaches it."""
+    sites = []
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "NegativeVolume" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    sites.append((path.name, top.name))
+    assert sites == [("brs.py", "WeightedBoxSet")]
