@@ -372,7 +372,7 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
     if not d or not bound:
         return 0, 0
     shift = max(0, bound.bit_length() + _GUARD_BITS)
-    return shift, math.isqrt(d << 2 * shift)
+    return shift, _floor_a_plus_b_sqrt_d(0, 1 << shift, 1, d)
 
 
 def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,

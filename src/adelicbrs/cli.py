@@ -114,6 +114,20 @@ class _Parser(argparse.ArgumentParser):
 # --- config parsing -------------------------------------------------------
 
 
+# most characters of an input value that an error line echoes: with the
+# count of the characters cut, a line echoing two values stays below 200
+# bytes for ASCII input
+ECHO_CHARS = 32
+
+
+def _echo(value: Any, render: Callable[[Any], str] = repr) -> str:
+    """render(value) for an error line, cut to ECHO_CHARS characters, and
+    then saying how many characters it cut."""
+    text = render(value)
+    cut = len(text) - ECHO_CHARS
+    return text if cut <= 0 else f"{text[:ECHO_CHARS]}... (+{cut} chars)"
+
+
 def _require_bits(value: int, what: str) -> int:
     if value.bit_length() > MAX_BITS:
         raise ConfigError(f"{what} has more than {MAX_BITS} bits")
@@ -135,7 +149,7 @@ def _parse_number(text: str, grammar: re.Pattern, what: str) -> Fraction:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):  # n/0, or above 4300 digits
         pass
-    raise ConfigError(f"bad {what} {text!r}")
+    raise ConfigError(f"bad {what} {_echo(text)}")
 
 
 def _require_product(factors: Iterable[int], what: str) -> int:
@@ -149,7 +163,7 @@ def _require_product(factors: Iterable[int], what: str) -> int:
 def parse_rational(value: Any) -> Fraction:
     """A JSON integer, or a string "num" or "num/den"."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"expected a rational, got {value!r}")
+        raise ConfigError(f"expected a rational, got {_echo(value)}")
     x = (Fraction(value) if isinstance(value, int)
          else _parse_number(value, _RATIONAL, "rational"))
     _require_bits(max(abs(x.numerator), x.denominator),
@@ -160,9 +174,9 @@ def parse_rational(value: Any) -> Fraction:
 def parse_int(value: Any, what: str, minimum: int | None = None) -> int:
     """A JSON integer, never a bool, float or string, at least minimum."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {_echo(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{what} must be >= {minimum}, got {_echo(value)}")
     return _require_bits(value, what)
 
 
@@ -173,12 +187,12 @@ def parse_exact_real(value: Any) -> ExactReal:
                       for k, default in (("a", 0), ("b", 0), ("c", 1),
                                          ("d", 0)))
         if d > MAX_FACTORED:
-            raise ConfigError(f"exact real radicand {d} is above "
+            raise ConfigError(f"exact real radicand {_echo(d)} is above "
                               f"{MAX_FACTORED}, too large to factor")
         try:
             return ExactReal(a, b, c, d)
         except (ValueError, ZeroDivisionError, TypeError) as e:
-            raise ConfigError(f"bad exact real {value!r}: {e}") from None
+            raise ConfigError(f"bad exact real {_echo(value)}: {e}") from None
     return ExactReal.from_rational(parse_rational(value))
 
 
@@ -198,7 +212,7 @@ def _parse_prime_map(obj: Any, what: str,
         except ValueError:  # not an integer, or past is_prime's range
             prime = False
         if not prime:
-            raise ConfigError(f"{what} key {key!r} must be a prime below "
+            raise ConfigError(f"{what} key {_echo(key)} must be a prime below "
                               f"psi_12 = {_MR_LIMIT}, in canonical decimal")
         out[p] = parse_value(val)
     return out
@@ -209,8 +223,9 @@ def _require_lattice(g: Fraction, alpha: AdeleVector, what: str) -> None:
     try:
         as_lattice(g, alpha.primes)
     except PrimeSetMismatch:
-        raise ConfigError(f"{what} = {g} has a denominator prime outside "
-                          f"alpha's prime set {list(alpha.primes)}") from None
+        raise ConfigError(f"{what} = {_echo(g, str)} has a denominator prime "
+                          f"outside alpha's prime set {list(alpha.primes)}"
+                          ) from None
 
 
 def _require_field(value: ExactReal, alpha: AdeleVector,
@@ -234,8 +249,9 @@ _EXPERIMENT_KEYS = frozenset({"name", "command", "config"})
 def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
+        keys = _echo(", ".join(map(repr, unknown)), str)
         raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} "
-                          f"{', '.join(map(repr, unknown))}{where}")
+                          f"{keys}{where}")
 
 
 class ExperimentConfig:
@@ -266,11 +282,11 @@ def load_config(data: dict) -> ExperimentConfig:
     infinite_q = data.get("infinite_q", False)
     if not isinstance(infinite_q, bool):
         raise ConfigError(f"infinite_q must be true or false, "
-                          f"got {infinite_q!r}")
+                          f"got {_echo(infinite_q)}")
     if infinite_q:
         if gamma.denominator > MAX_FACTORED:
-            raise ConfigError(f"gamma denominator {gamma.denominator} is "
-                              f"above {MAX_FACTORED}, too large to factor "
+            raise ConfigError(f"gamma denominator {_echo(gamma.denominator)} "
+                              f"is above {MAX_FACTORED}, too large to factor "
                               f"under infinite_q")
         alpha = reduce_to_finite(alpha_real, parts, gamma)
     else:
@@ -455,8 +471,8 @@ def svg_text(series, logx: bool = False, logy: bool = False) -> str:
 def cmd_volumes(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     k = len(cfg.alpha.primes)
     if (cfg.bound + 1) ** (k + 1) * (2 * cfg.bound + 1) > MAX_VOLUMES:
-        raise ConfigError(f"bound {cfg.bound} with |Q| = {k} gives more "
-                          f"than {MAX_VOLUMES} candidate volumes "
+        raise ConfigError(f"bound {_echo(cfg.bound)} with |Q| = {k} gives "
+                          f"more than {MAX_VOLUMES} candidate volumes "
                           f"(bound+1)**{k + 1} * (2*bound+1)")
     elements = enumerate_volumes(cfg.alpha, cfg.bound)
     rows = [[str(el.gamma), str(el.n), el.value.exact_str(),
@@ -503,7 +519,7 @@ def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
         raise ConfigError("verify needs at least two checkpoints, as its "
                           "plateau test compares the last two")
     if checkpoints[-1] > MAX_WALK:
-        raise ConfigError(f"last checkpoint {checkpoints[-1]} is above "
+        raise ConfigError(f"last checkpoint {_echo(checkpoints[-1])} is above "
                           f"{MAX_WALK}, the longest orbit walk verify runs")
     if cfg.control_box is not None:
         box = cfg.control_box
@@ -555,8 +571,9 @@ def cmd_verify(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
 def cmd_cutproject(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
     count = cfg.cutproject_n
     if count > MAX_CUTPROJECT:
-        raise ConfigError(f"cutproject_n {count} is above {MAX_CUTPROJECT}, "
-                          f"the most candidates cutproject counts")
+        raise ConfigError(f"cutproject_n {_echo(count)} is above "
+                          f"{MAX_CUTPROJECT}, the most candidates cutproject "
+                          f"counts")
     if cfg.gamma == 0 and cfg.n == 0:
         raise ConfigError("cutproject needs a construction to cross-check,"
                           " and gamma 0 with n 0 builds the empty set")
@@ -640,19 +657,21 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or any(c in name for c in ("/", os.sep, "\0"))):
             raise ConfigError(f"experiment {i}: name must be one plain path "
-                              f"component, got {name!r}")
+                              f"component, got {_echo(name)}")
         if name in runs:
-            raise ConfigError(f"experiment {i}: duplicate name {name!r}")
+            raise ConfigError(f"experiment {i}: duplicate name {_echo(name)}")
+        shown = _echo(name, str)
         command = entry.get("command")
         if not isinstance(command, str) or command not in _COMMANDS:
-            raise ConfigError(f"experiment {name}: unknown command {command!r}")
+            raise ConfigError(f"experiment {shown}: unknown command "
+                              f"{_echo(command)}")
         sub = entry.get("config")
         if not isinstance(sub, dict):
-            raise ConfigError(f"experiment {name}: missing config object")
+            raise ConfigError(f"experiment {shown}: missing config object")
         if "out" in sub:
-            raise ConfigError(f"experiment {name}: key 'out' is not allowed "
+            raise ConfigError(f"experiment {shown}: key 'out' is not allowed "
                               f"in a member config, which writes to "
-                              f"OUT/{name}")
+                              f"OUT/{shown}")
         runs[name] = (command, sub)
     _write(outdir, {})  # an --out that cannot be made fails before any run
     results = {}
@@ -717,7 +736,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_echo(key)}")
         obj[key] = value
     return obj
 
@@ -744,7 +763,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     out = data.get("out", "out")
     if not isinstance(out, str):
-        raise ConfigError(f"out must be a string, got {out!r}")
+        raise ConfigError(f"out must be a string, got {_echo(out)}")
     outdir = Path(args.out or out)
     if args.command == "batch":
         return cmd_batch(data, outdir, args.svg, overrides)

@@ -5,7 +5,9 @@ Rationals are plain ``fractions.Fraction`` throughout.  Real numbers that
 must stay exact (rotation angles, interval endpoints, discrepancies) are
 ``ExactReal`` values a/c + (b/c)*sqrt(d) with integer a, b, c and a
 squarefree radicand d.  Nothing in this module ever rounds; floating
-point appears only in the explicit ``to_float``/``decimal_str`` exits.
+point appears only in the explicit ``to_float``/``decimal_str`` exits,
+correctly rounded, from the exact floor ``_floor_a_plus_b_sqrt_d``, which
+is the package's one square root.
 """
 
 from __future__ import annotations
@@ -214,18 +216,11 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 
 def _sign_a_plus_b_sqrt_d(a: int, b: int, d: int) -> int:
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:  # a and b*sqrt(d) do not cancel
+        return sa or sb
     x, y = a * a, b * b * d
-    if x == y:
-        return 0
-    return (1 if x > y else -1) * (1 if a > 0 else -1)
+    return 0 if x == y else sa if x > y else sb
 
 
 def _floor_a_plus_b_sqrt_d(a: int, b: int, c: int, d: int) -> int:
@@ -320,25 +315,35 @@ class ExactReal:
     def sign(self) -> int:
         return _sign_a_plus_b_sqrt_d(self.a, self.b, self.d)
 
-    def _decimal(self) -> Decimal:
-        """The value to 45 significant digits."""
-        with localcontext() as ctx:
-            ctx.prec = 45
-            root = Decimal(self.d).sqrt()
-            return (Decimal(self.a) + Decimal(self.b) * root) / Decimal(self.c)
+    def _halfway(self, base: int, bits: int) -> tuple[int, int]:
+        """num/den: self if rational, else sign(self) * (m + 1/2) / base**k
+        for the exact floor m = floor(|self| * base**k) >= 2**bits.  Both
+        scale into (m, m + 1), which no rounding to under bits bits splits."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not b:
+            return a, c
+        # |self| = |a*a - b*b*d| / (c * |a - b*sqrt(d)|) > 2**-low
+        top = max(abs(a), abs(b) << d.bit_length() // 2 + 1).bit_length()
+        low = top + c.bit_length() + 2 - (a * a - b * b * d).bit_length()
+        k = max(0, -(-(bits + low) // (base.bit_length() - 1)))
+        s, scale = self.sign(), base ** k
+        m = _floor_a_plus_b_sqrt_d(s * a * scale, s * b * scale, c, d)
+        return s * (2 * m + 1), 2 * scale
 
     def to_float(self) -> float:
-        if self.b == 0:
-            return self.a / self.c
-        return float(self._decimal())
+        """Correctly rounded, from the exact floor; +-inf past the range."""
+        num, den = self._halfway(2, 54)
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf if num > 0 else -math.inf
 
     def decimal_str(self) -> str:
-        """Decimal rendering rounded to 30 significant digits."""
-        if not self:
-            return "0"
+        """Correctly rounded to 30 significant digits, from the exact floor."""
+        num, den = self._halfway(10, 103)  # 2**103 > 10**31
         with localcontext() as ctx:
             ctx.prec = 30
-            return str(+self._decimal())
+            return str(Decimal(num) / den)
 
     def exact_str(self) -> str:
         """Canonical exact rendering, e.g. '5/4 - (1/2)*sqrt(2)'."""

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -562,12 +564,15 @@ def test_lift_counts_solves_each_coset_once(monkeypatch):
 
 
 def _calls(monkeypatch, name="_floor_a_plus_b_sqrt_d"):
-    """The argument tuples of every later call of brs.<name>."""
+    """The argument tuples of every later call of brs.<name>, except the
+    floor of sqrt(d) * 2**P that brs._fixed_point takes once per walk: the
+    calls counted are the per-step exact fallbacks."""
     calls = []
     run = getattr(brs, name)
 
     def counting(*args):
-        calls.append(args)
+        if sys._getframe(1).f_code is not brs._fixed_point.__code__:
+            calls.append(args)
         return run(*args)
 
     monkeypatch.setattr(brs, name, counting)
@@ -626,6 +631,17 @@ def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
             terms = [walked, (full, -3), (full, 2)]
             assert list(brs._lift_totals(terms, alpha, x0, n)) == \
                 _scalar_totals(terms, alpha, x0, n)
+
+
+def test_fixed_point_root_is_the_integer_square_root():
+    # S = floor(sqrt(d) * 2**P) comes from the exact floor, and is the
+    # integer square root of d * 4**P
+    for d in (2, 3, 5, 6, 7, 10, 13, 999999999989):
+        for bound in (1, 7, 2 ** 40, 3 ** 200):
+            shift, root = brs._fixed_point(d, bound)
+            assert shift == bound.bit_length() + brs._GUARD_BITS
+            assert root == math.isqrt(d << 2 * shift)
+    assert brs._fixed_point(0, 5) == brs._fixed_point(2, 0) == (0, 0)
 
 
 def test_discrepancy_series_two_primes_takes_few_exact_floors(monkeypatch):

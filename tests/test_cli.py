@@ -280,6 +280,69 @@ def test_duplicate_config_keys_exit_3(tmp_path, capsys):
             f"config error: duplicate key {key!r}\n"
 
 
+def test_echo_cuts_long_values_and_keeps_short_ones():
+    limit = cli.ECHO_CHARS
+    assert cli._echo("abc") == "'abc'"
+    assert cli._echo(12) == "12"
+    assert cli._echo("x" * limit, str) == "x" * limit
+    assert cli._echo("x" * (limit + 1), str) == "x" * limit + "... (+1 chars)"
+    assert cli._echo("7" * 10 ** 6) == \
+        "'" + "7" * (limit - 1) + f"... (+{10 ** 6 + 2 - limit} chars)"
+
+
+def test_oversized_echoes_exit_3_with_a_short_line(tmp_path, capsys):
+    """Every config error that echoes an input value cuts it, so a huge
+    value gives one stderr line of at most 200 bytes, not one as long as
+    the value (a 1,000,000-digit gamma printed 1,000,030 bytes)."""
+    nested = []
+    for _ in range(899):
+        nested = [nested]
+    long = "n" * 100_000
+    member = {"name": long, "command": "construct", "config": WORKED}
+    cases = [
+        ("construct", dict(WORKED, gamma="7" * 10 ** 6), "bad rational"),
+        ("construct", dict(WORKED, alpha_real=nested),
+         "expected a rational, got [[["),
+        ("construct", dict(WORKED, **{"k" * 100_000: 1}), "unknown key"),
+        ("construct", dict(WORKED, alpha_padic={"4" * 100_000: "1/2"}),
+         "alpha_padic key"),
+        ("construct", dict(WORKED, n="9" * 100_000), "n must be an integer"),
+        ("volumes", dict(WORKED, bound=-int("9" * 4000)),
+         "bound must be >= 0"),
+        ("construct", dict(WORKED, out=["x" * 100_000]), "out must be"),
+        ("construct", dict(WORKED, infinite_q="y" * 100_000), "infinite_q"),
+        ("construct", dict(WORKED, gamma="1/" + "3" * 300), "gamma = 1/"),
+        ("construct", dict(WORKED, alpha_real={"b": 1, "c": 0, "d": 2,
+                                               "a": 10 ** 200}),
+         "bad exact real"),
+        ("batch", {"experiments": [dict(member, name="a/" * 50_000)]},
+         "experiment 0: name must be one plain path component"),
+        ("batch", {"experiments": [member, member]}, "experiment 1"),
+        ("batch", {"experiments": [dict(member, command=long)]},
+         "experiment nnn"),
+        ("batch", {"experiments": [dict(member, config=long)]},
+         "experiment nnn"),
+        ("batch", {"experiments": [dict(member, config=dict(WORKED,
+                                                            out="o"))]},
+         "experiment nnn")]
+    for command, config, message in cases:
+        capsys.readouterr()
+        code, out = run(tmp_path, command, config)
+        err = _one_line_error(capsys, "config error: ")
+        assert code == 3 and message in err, err[:300]
+        assert "chars)" in err and len(err.encode()) <= 200, err[:300]
+        assert not out.exists()
+    # a flag and a key given twice go through the same cut
+    code, _ = run(tmp_path, "construct", WORKED, "--seed", "x" * 100_000)
+    err = _one_line_error(capsys, "config error: bad --seed 'xxx")
+    assert code == 3 and len(err.encode()) <= 200
+    cfg = tmp_path / "twice.json"
+    cfg.write_text('{"%s": 1, "%s": 2}' % (long, long), encoding="utf-8")
+    assert main(["construct", "--config", str(cfg)]) == 3
+    err = _one_line_error(capsys, "config error: duplicate key 'nnn")
+    assert len(err.encode()) <= 200
+
+
 def _one_line_error(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
@@ -643,6 +706,49 @@ def test_weyl_bound_holds(tmp_path):
     code, out = run(tmp_path / "far", "weyl",
                     dict(WORKED, checkpoints=[10**11]))
     assert code == 0 and read_verdict(out)["pass"] is True
+
+
+# -p + q*sqrt(2) for the Pell pair with 27-digit q, about -1.606e-27: a
+# valid irrational rotation whose components cancel in all but 27 digits
+PELL = (311363698964240484013304163, 220167382952941249990598278)
+
+
+def test_decimals_under_cancellation(tmp_path):
+    """construct and weyl on the worked example with alpha_real the Pell
+    value print correctly rounded decimals; mpmath at 80 digits, summing
+    the Weyl average term by term, is the independent reference."""
+    mpmath = pytest.importorskip("mpmath")
+    p, q = PELL
+    config = dict(WORKED, alpha_real={"a": -p, "b": q, "c": 1, "d": 2},
+                  checkpoints=[1000])
+    code, out = run(tmp_path / "construct", "construct", config)
+    assert code == 0
+    v = read_verdict(out)
+    # the claimed volume is 5/4 - alpha/2, as for alpha = sqrt(2)
+    assert v["claimed_volume_exact"] == f"{5 + 2 * p}/4 - {q // 2}*sqrt(2)"
+    code, out = run(tmp_path / "weyl", "weyl", config)
+    assert code == 0
+    w = read_verdict(out)
+    n, weyl, _ = (out / "weyl.csv").read_text(
+        encoding="utf-8").splitlines()[1].split(",", 2)
+    assert n == "1000"
+    with mpmath.workdps(80):
+        alpha = -p + q * mpmath.sqrt(2)
+        volume = mpmath.mpf(5) / 4 - alpha / 2
+        # phase = (-gamma*alpha_real + {gamma*alpha_2}_2) mod 1
+        theta = mpmath.mpf(1) / 4 - alpha / 2
+        want = abs(sum(mpmath.expjpi(2 * k * theta)
+                       for k in range(1, 1001))) / 1000
+        assert v["claimed_volume_decimal"] == mpmath.nstr(
+            volume, 30, strip_zeros=False)
+        assert w["phase_decimal"] == mpmath.nstr(theta, 30,
+                                                 strip_zeros=False)
+        assert abs(float(weyl) - want) <= 1e-12 * want
+    # the 45-digit evaluation printed 1.2499999999999999995,
+    # 0.2499999999999999995 and 4.44e-18 here
+    assert v["claimed_volume_decimal"] == "1.25000000000000000000000000080"
+    assert w["phase_decimal"] == "0.250000000000000000000000000803"
+    assert 3.56e-27 < float(weyl) < 3.58e-27
 
 
 def test_weyl_trivial_gamma_exits_2(tmp_path):

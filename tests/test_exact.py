@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
 
@@ -332,6 +333,16 @@ def test_exact_real_floor_ceil_mod1_seeded():
         assert math.floor(x.to_float()) in (f - 1, f, f + 1)
 
 
+def test_sign_matches_floating_point_on_small_components():
+    # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) > 1/200 unless a = b = 0,
+    # so the float's sign is exact here
+    for d in (2, 3, 5, 13):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                x = a + b * math.sqrt(d)
+                assert _sign_a_plus_b_sqrt_d(a, b, d) == (x > 0) - (x < 0)
+
+
 def floor_by_bisection(a: int, b: int, c: int, d: int) -> int:
     """floor((a + b*sqrt(d)) / c) by bisection on exact sign tests only."""
     lo = (a - abs(b) * d) // c - 1  # below the value, as |b*sqrt(d)| <= |b|*d
@@ -382,6 +393,108 @@ def test_exact_real_strings():
     assert s.startswith("1.4142135623730950488016887242")
     assert ExactReal(0).decimal_str() == "0"
     assert abs(ExactReal.sqrt(2).to_float() - math.sqrt(2)) < 1e-15
+
+
+def _convergents(d: int, digits: int):
+    """The continued-fraction convergents p/q of sqrt(d), d not a square,
+    while q has at most digits digits, by the classical recurrence."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    while len(str(q1)) <= digits:
+        yield p1, q1
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+
+
+def _reference(a: int, b: int, c: int, d: int) -> tuple[str, float]:
+    """(a + b*sqrt(d)) / c by Decimal's own square root at 2*digits + 80
+    digits, so that cancellation leaves about 80 correct: its 30-digit
+    rendering and its correctly rounded float."""
+    digits = max(len(str(abs(v))) for v in (a, b, c))
+    with localcontext() as ctx:
+        ctx.prec = 2 * digits + 80
+        value = (Decimal(a) + Decimal(b) * Decimal(d).sqrt()) / Decimal(c)
+        ctx.prec = 30
+        return str(+value), float(value)
+
+
+def _differential_cases():
+    rng = Random(21)
+    for d in (2, 3, 5, 6, 7, 10, 13):
+        for p, q in _convergents(d, 40):
+            # p - q*sqrt(d) is about 1/(2*q*sqrt(d)): all but its last
+            # digits cancel
+            yield -p, q, 1, d
+            yield p, -q, rng.randint(1, 10 ** rng.randint(1, 40)), d
+        for _ in range(60):
+            a, b, c = (rng.choice((-1, 1)) * rng.randint(1, 10 ** 40)
+                       // 10 ** rng.randint(0, 39) for _ in range(3))
+            yield a, b or 1, abs(c) or 1, d
+
+
+def test_decimal_str_and_to_float_are_correctly_rounded():
+    """Both exits read the exact floor; a Decimal square root at twice the
+    digits plus 80 is the oracle, including under cancellation."""
+    count = 0
+    for a, b, c, d in _differential_cases():
+        x = ExactReal(a, b, c, d)
+        want_str, want_float = _reference(a, b, c, d)
+        assert x.decimal_str() == want_str, (a, b, c, d)
+        assert x.to_float() == want_float, (a, b, c, d)
+        # the helper's floor m bounds |x| * base**k strictly
+        for base, bits in ((10, 103), (2, 54)):
+            num, den = x._halfway(base, bits)
+            m = (abs(num) - 1) // 2
+            assert m >= 2 ** bits and den % 2 == 0
+            assert m < abs(x) * (den // 2) < m + 1
+        count += 1
+    assert count > 500
+
+
+def _decimal_str_before(a: int, c: int) -> str:
+    """A rational's rendering as the package gave it before it read the
+    exact floor: a 45-digit quotient, rounded to 30 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        value = Decimal(a) / Decimal(c)
+        ctx.prec = 30
+        return str(+value)
+
+
+def test_rational_decimal_str_and_to_float_are_unchanged():
+    assert ExactReal(0).decimal_str() == "0"
+    assert ExactReal(0).to_float() == 0.0
+    assert ExactReal(5, 0, 4).decimal_str() == "1.25"
+    assert ExactReal(-3, 0, 2).decimal_str() == "-1.5"
+    assert ExactReal(1, 0, 3).decimal_str() == \
+        "0.333333333333333333333333333333"
+    assert ExactReal(10 ** 40).decimal_str() == \
+        "1.00000000000000000000000000000E+40"
+    rng = Random(7)
+    for _ in range(2000):
+        a = rng.randint(-10 ** rng.randint(1, 40), 10 ** rng.randint(1, 40))
+        c = rng.randint(1, 10 ** rng.randint(1, 40))
+        x = ExactReal.from_rational(Fraction(a, c))
+        assert x.decimal_str() == _decimal_str_before(x.a, x.c), (a, c)
+        assert x.to_float() == x.a / x.c
+
+
+def test_to_float_past_the_float_range():
+    # float(Decimal) gives +-inf and 0 there, never OverflowError
+    big = 10 ** 400
+    assert ExactReal(big, 1, 1, 2).to_float() == math.inf
+    assert ExactReal(-big, 1, 1, 2).to_float() == -math.inf
+    assert ExactReal(0, -big, 3, 5).to_float() == -math.inf
+    assert ExactReal(big).to_float() == math.inf
+    assert ExactReal(-big, 0, 7).to_float() == -math.inf
+    assert ExactReal(1, 1, big, 2).to_float() == 0.0
+    for c in (10 ** 308, 10 ** 315, 10 ** 323):  # subnormal results
+        assert ExactReal(1, -1, c, 2).to_float() == _reference(1, -1, c, 2)[1]
+    assert ExactReal(big, 1, 1, 2).decimal_str() == \
+        _reference(big, 1, 1, 2)[0]
 
 
 def test_exact_real_division_errors():

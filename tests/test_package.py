@@ -170,6 +170,31 @@ def test_exact_real_is_canonicalised_in_one_routine():
         ("ExactReal", "_reduced", "__setattr__")]
 
 
+def test_one_square_root():
+    """The exact floor exact._floor_a_plus_b_sqrt_d is the package's one
+    square root: it alone calls math.isqrt, and no module calls any sqrt
+    (Decimal's, math's, cmath's) or raises to the power 0.5, so every
+    printed digit, float and fixed-point constant comes from it."""
+    sites = []
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr",
+                                   getattr(node.func, "id", None))
+                elif (isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Pow)
+                      and isinstance(node.right, ast.Constant)
+                      and node.right.value == 0.5):
+                    name = "** 0.5"
+                else:
+                    continue
+                if name in ("isqrt", "sqrt", "** 0.5"):
+                    sites.append((path.name, getattr(top, "name", None),
+                                  name))
+    assert sites == [("exact.py", "_floor_a_plus_b_sqrt_d", "isqrt")]
+
+
 def test_every_domain_error_is_raised():
     """An AdelicError subclass that nothing raises is a rule with no
     statement left: it belongs in neither errors.py nor the exit-code
