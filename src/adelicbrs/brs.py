@@ -378,148 +378,98 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
 def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                  x0: SolenoidPoint, n: int) -> Iterator[int]:
     """Yield, for k = 0, ..., n-1, the weighted lift count
-    sum_i w_i * box_lift_count(box_i, x_k) over the terms, where x_k is
-    the reduced orbit point x0 + k*alpha.
+    sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms.
 
-    The orbit is taken in closed form on plain integers; see
-    discrepancy_series for why this is exact, and why a term whose real
-    length is an integer multiple of its coset spacing needs no floor.
+    Each count is two floors of linear functions of k, taken on plain
+    integers; see discrepancy_series for why this is exact, and why a
+    term whose real length is an integer multiple of its coset spacing
+    needs no floor.
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
     d = _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
                          *(box.hi for box, _ in terms))
     const = 0  # the total of the terms whose count never moves
-    walked = []  # the other terms, with their coset at x0
+    # each walked end adds weight * floor((a + k*a1 + (b + k*b1)*sqrt(d)) / c)
+    ends = []  # (weight, a, a1, b, b1, c)
     for box, w in terms:
-        c, delta = crt_coset(
-            [(ball.p, ball.radius_exponent,
-              ball.center - (x0.part(ball.p) if ball.radius_exponent < 0
-                             else 0))
-             for ball in box.balls])
+        c, delta = crt_coset([(ball.p, ball.radius_exponent,
+                               ball.center - x0.part(ball.p))
+                              for ball in box.balls])
         width = (box.hi - box.lo) / delta
         if width.is_integer():
             const += w * width.a
-        else:
-            walked.append((box, w, c, delta))
-    if not walked:
+            continue
+        u, _ = crt_coset([(ball.p, ball.radius_exponent, -alpha.part(ball.p))
+                          for ball in box.balls])
+        step = (alpha.real + u) / delta
+        for end, weight in ((box.lo, w), (box.hi, -w)):
+            start = (x0.real + c - end) / delta
+            den = math.lcm(start.c, step.c)
+            f, f1 = den // start.c, den // step.c
+            ends.append((weight, start.a * f, step.a * f1, start.b * f,
+                         step.b * f1, den))
+    if not ends:
         yield from itertools.repeat(const, n)
         return
-    g0 = fractional_sum(1, alpha)
-    beta = alpha.real - g0
-    # every real number below is (A + B*sqrt(d)) / den
-    den = math.lcm(x0.real.c, beta.c,
-                   *(end.c for box, *_ in walked for end in (box.lo, box.hi)))
-
-    def scaled(v: ExactReal) -> tuple[int, int]:
-        return v.a * (den // v.c), v.b * (den // v.c)
-
-    a, b = scaled(x0.real)
-    a_step, b_step = scaled(beta)
-    # v = alpha_p - g0 mod p**E_p for the deepest ball exponent E_p at p,
-    # so x_{k,p} = x0_p - (m_k - k*v) mod q = prod_p p**E_p
-    depth: dict[int, int] = {}
-    for box, *_ in walked:
-        for ball in box.balls:
-            depth[ball.p] = max(depth.get(ball.p, 0), -ball.radius_exponent)
-    v, q = crt_coset([(p, -e, alpha.part(p) - g0)
-                      for p, e in depth.items() if e])
-    v, q = v.numerator, q.numerator
-    bmax = abs(b) + n * abs(b_step)  # |b| stays below this on the walk
-    prepared = []
-    for box, w, c, delta in walked:
-        # (end - y - c) / delta = (G - E*f + (b - E_b)*f*sqrt(d)) / r with
-        # G = g + s*f*den + y_a*f, for x_k = (y_a + b*sqrt(d)) / den
-        f = c.denominator * delta.denominator
-        g = c.numerator * den * delta.denominator
-        r = den * c.denominator * delta.numerator
-        (lo_a, lo_b), (hi_a, hi_b) = scaled(box.lo), scaled(box.hi)
-        margin = (bmax + max(abs(lo_b), abs(hi_b))) * f  # >= |(b - E_b)*f|
-        prepared.append((w, f, r, margin, g - lo_a * f, lo_b * f,
-                         g - hi_a * f, hi_b * f))
-    shift, root = _fixed_point(d, max(bmax, *(t[3] for t in prepared)))
-    # u + B*sqrt(d) in fixed point is u*2**P + B*S, P = shift, S = root:
-    # its divmod by c << P is the exact floor of (u + B*sqrt(d)) / c when
-    # the remainder clears the margin bounding |B| (see discrepancy_series).
-    # f times the orbit's remainder y_a*2**P + b*S is an end's y-terms.
-    fixed = [(w, f, f * den << shift, r, r << shift, margin,
-              (r << shift) - margin, (lo << shift) - lo_b * root, lo_b,
-              (hi << shift) - hi_b * root, hi_b)
-             for w, f, r, margin, lo, lo_b, hi, hi_b in prepared]
-
-    def exact(value: int, coef: int, c: int) -> int:
-        # floor((u + coef*sqrt(d)) / c) for the fixed point value of u
-        return _floor_a_plus_b_sqrt_d((value - coef * root) >> shift, coef,
-                                      c, d)
-
-    x = (a << shift) + b * root
-    step = (a_step << shift) + b_step * root
-    unit = den << shift
-    top = unit - bmax
+    # |b + k*b1| <= bmax for k < n: the one margin of every end
+    bmax = max(abs(b) + n * abs(b1) for _, _, _, b, b1, _ in ends)
+    shift, root = _fixed_point(d, bmax)
+    # an end's fixed-point numerator ((a + k*a1) << P) + (b + k*b1)*S moves
+    # by one integer per step; its divmod by c << P is the floor when the
+    # remainder clears bmax, and the exact floor decides otherwise
+    walk = [[(a << shift) + b * root, (a1 << shift) + b1 * root, c << shift,
+             (c << shift) - bmax, w, (a, a1, b, b1, c)]
+            for w, a, a1, b, b1, c in ends]
     for k in range(n):
-        m, y = divmod(x, unit)
-        if not bmax <= y <= top:
-            m = exact(x, b + k * b_step, den)
-            y = x - m * unit
-        s = (m - k * v) % q  # each coset at x_k is its coset at x0 plus s
         total = const
-        for w, f, fden, r, rs, margin, t, lo, lo_b, hi, hi_b in fixed:
-            u = s * fden + f * y
-            # ceil(hi') - ceil(lo'), never negative as hi > lo
-            lo_m, rem = divmod(lo + u, rs)
-            if not margin <= rem <= t:
-                lo_m = exact(lo + u, (b + k * b_step) * f - lo_b, r)
-            hi_m, rem = divmod(hi + u, rs)
-            if not margin <= rem <= t:
-                hi_m = exact(hi + u, (b + k * b_step) * f - hi_b, r)
-            total += w * (lo_m - hi_m)
+        for end in walk:
+            x, step, unit, top, w, line = end
+            m, rem = divmod(x, unit)
+            if not bmax <= rem <= top:
+                a, a1, b, b1, c = line
+                m = _floor_a_plus_b_sqrt_d(a + k * a1, b + k * b1, c, d)
+            total += w * m
+            end[0] = x + step
         yield total
-        x += step
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
                        x0: SolenoidPoint,
                        checkpoints: Sequence[int]) -> DiscrepancySummary:
-    """Exact discrepancy D_N = sum_{k<N} chi(x_k) - N*|A| along the
-    orbit of x0, reported at the given checkpoints.
+    """Exact discrepancy D_N = sum_{k<N} chi(x0 + k*alpha) - N*|A| along
+    the orbit of x0, reported at the given checkpoints.
 
     running_sup is the maximum of |D_M| over all M <= N, not only over
     checkpoints, and sup_at records where it was attained.
 
-    The orbit is computed in closed form.  With g0 = sum_p {alpha_p}_p,
-    beta = alpha_real - g0 and m_k = floor(x0_real + k*beta), the k-th
-    reduced point is
+    The orbit point x0 + k*alpha is never reduced: a lift count does not
+    change under a lattice translation, and the ball conditions are
+    linear in the point.  So if c + delta*Z solves a box's balls at x0
+    and u solves them at -alpha, the admissible lattice elements at step
+    k are c + k*u + delta*Z, and with theta = alpha_real + u and
+    w_k = x0_real + c + k*theta the box's lift count is
 
-        x_k = (x0_real + k*beta - m_k,  x0_p + k*(alpha_p - g0) - m_k).
+        floor((w_k - lo) / delta) - floor((w_k - hi) / delta),
 
-    It differs from x0 + k*alpha by the lattice element k*g0 + m_k, its
-    real part lies in [0, 1) and each p-adic part is p-integral, so it
-    is the unique reduction that iterating rotate would reach.  So a
-    step costs one floor of numerators over one common denominator.  A
-    ball of radius p**-e sees x_{k,p} only through its residue mod p**e,
-    and x_{k,p} - x0_p = k*(alpha_p - g0) - m_k.  With q = prod_p p**E_p for the deepest such e = E_p at
-    each p, and one integer v = alpha_p - g0 mod p**E_p for every p, each
-    box's CRT coset at x_k is its coset at x0 shifted by the integer
-    (m_k - k*v) mod q, whose multiples of q lie in every box's lattice.
-    So crt_coset runs once per box and once for v; the real interval is
-    then counted by two exact integer ceilings.  A term needs neither
-    ceiling when its real length is K coset spacings for an integer K,
-    as a full-domain term is with K = 1: the count is ceil(u + K) -
-    ceil(u) = K for every real u, so the term adds w*K at each step
-    without a floor, and its box joins neither q nor the walk.
+    two floors of linear functions of k.  So crt_coset runs twice per
+    box, and a step costs two floors per box and none for the orbit.  A
+    term needs neither floor when its real length is K coset spacings
+    for an integer K, as a full-domain term is with K = 1: the count is
+    floor(t + K) - floor(t) = K for every real t, so the term adds w*K
+    at each step without a floor.
 
     Every floor is first taken in fixed point.  With S = floor(sqrt(d) *
-    2**P), so that sqrt(d)*2**P = S + theta for some 0 < theta < 1, the
+    2**P), so that sqrt(d)*2**P = S + eps for some 0 < eps < 1, the
     integer X = a*2**P + b*S differs from (a + b*sqrt(d))*2**P by
-    b*theta, less than |b|.  So if divmod(X, c*2**P) leaves a remainder
+    b*eps, less than |b|.  So if divmod(X, c*2**P) leaves a remainder
     R with |b| <= R <= c*2**P - |b|, the quotient is the exact floor of
     (a + b*sqrt(d))/c.  P is chosen once per walk, _GUARD_BITS bits above
     the largest |b| the walk can reach, so R misses that window about
     once in 2**31 tries, or when the value is an integer, which a
     rational value can be.  Then the exact floor, an integer square root
-    of b*b*d, decides.  The orbit's X moves by one fixed integer per
-    step, and R is already the fixed point of the reduced x_k, so a
-    walked end's numerator is one more integer sum.
+    of b*b*d, decides.  Each end's X moves by one fixed integer per
+    step, so a walked end costs one integer sum and one divmod.
 
     D_N*c, for the denominator c of |A| = (va + vb*sqrt(d)) / c, has the
     sqrt(d) coefficient -N*vb, so it is kept as one fixed-point integer

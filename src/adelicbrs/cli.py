@@ -54,8 +54,8 @@ MAX_FACTORED = 10**12
 # these, and Python prints no integer above 4300 digits: with all of them at
 # the cap over Q = {2}, {2, 3} or 2..29, the longest has 2112 digits (0.3 s)
 MAX_BITS = 1000
-# longest orbit walk verify runs (its last checkpoint): about 15 s on
-# configs/two_primes.json at about 1.5 us per step.  weyl is closed form and
+# longest orbit walk verify runs (its last checkpoint): about 10 s on
+# configs/two_primes.json at about 1 us per step.  weyl is closed form and
 # takes any N.
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
@@ -653,11 +653,14 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
             raise ConfigError(f"experiment {i} is not an object")
         _reject_unknown_keys(entry, _EXPERIMENT_KEYS, f" in experiment {i}")
         name = entry.get("name", f"experiment_{i}")
-        # each name is the experiment's own directory inside outdir
+        # each name is the experiment's own directory inside outdir, and
+        # 255 bytes is the longest file name that common file systems take
         if (not isinstance(name, str) or name in ("", ".", "..")
-                or any(c in name for c in ("/", os.sep, "\0"))):
+                or any(c in name for c in ("/", os.sep, "\0"))
+                or len(name.encode("utf-8", "surrogatepass")) > 255):
             raise ConfigError(f"experiment {i}: name must be one plain path "
-                              f"component, got {_echo(name)}")
+                              f"component of at most 255 UTF-8 bytes, got "
+                              f"{_echo(name)}")
         if name in runs:
             raise ConfigError(f"experiment {i}: duplicate name {_echo(name)}")
         shown = _echo(name, str)

@@ -298,7 +298,8 @@ def test_oversized_echoes_exit_3_with_a_short_line(tmp_path, capsys):
     for _ in range(899):
         nested = [nested]
     long = "n" * 100_000
-    member = {"name": long, "command": "construct", "config": WORKED}
+    # the longest name a batch member may have
+    member = {"name": "n" * 255, "command": "construct", "config": WORKED}
     cases = [
         ("construct", dict(WORKED, gamma="7" * 10 ** 6), "bad rational"),
         ("construct", dict(WORKED, alpha_real=nested),
@@ -921,6 +922,28 @@ def test_batch_rejects_bad_experiment_names(tmp_path, capsys, names):
     _one_line_error(capsys, "config error:")
     # nothing ran, and nothing was created: not --out, nor its parent
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json"]
+
+
+def test_batch_refuses_a_name_over_255_bytes_before_any_run(tmp_path,
+                                                           capsys):
+    """A name is a file name, so one the file system cannot take is
+    refused with the other name rules, before any member runs, and its
+    echo is cut: a 100,000-character name ran its member and then printed
+    a 100,096-byte line."""
+    first = {"name": "first", "command": "construct", "config": WORKED}
+    for name in ("n" * 100_000, "n" * 256, "é" * 128):
+        capsys.readouterr()
+        code, out = run(tmp_path, "batch", {"experiments": [
+            first, dict(first, name=name)]})
+        err = _one_line_error(capsys, "config error: experiment 1: name ")
+        assert code == 3 and "255 UTF-8 bytes" in err
+        assert len(err.encode()) <= 200, err[:300]
+        assert not out.exists()
+    for name in ("n" * 255, "é" * 127):
+        code, out = run(tmp_path, "batch", {"experiments": [
+            dict(first, name=name)]})
+        assert code == 0
+        assert (out / name / "verdict.json").is_file()
 
 
 def test_batch_rejects_a_member_out_key(tmp_path, capsys):

@@ -257,3 +257,19 @@ def test_one_place_raises_negative_volume():
                         getattr(node.func, "attr", None)):
                     sites.append((path.name, top.name))
     assert sites == [("brs.py", "WeightedBoxSet")]
+
+
+def test_lift_totals_walks_the_unreduced_orbit():
+    """brs._lift_totals counts lattice translates of x0 + k*alpha itself:
+    it reduces no orbit point (no fractional_sum, no
+    reduce_to_fundamental), and its one exact fallback floor has one
+    call site, the floor of a walked box end."""
+    tree = ast.parse((ROOT / "src" / "adelicbrs" / "brs.py")
+                     .read_text(encoding="utf-8"))
+    kernel, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_lift_totals"]
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(kernel) if isinstance(node, ast.Call)]
+    assert "fractional_sum" not in calls
+    assert "reduce_to_fundamental" not in calls
+    assert calls.count("_floor_a_plus_b_sqrt_d") == 1
