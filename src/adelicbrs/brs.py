@@ -375,23 +375,68 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
     return shift, _floor_a_plus_b_sqrt_d(0, 1 << shift, 1, d)
 
 
+def _walk_floors(const: int, ends: Sequence[tuple[int, ExactReal, ExactReal]],
+                 n: int) -> Iterator[int]:
+    """Yield const + sum_i w_i * floor(start_i + k*step_i) over the ends
+    (w_i, start_i, step_i), for k = 0, ..., n-1.
+
+    Over one denominator c, an end at step k is (a + b*sqrt(d))/c with
+    integers a and b linear in k, and its floor is first taken in fixed
+    point.  With S = floor(sqrt(d) * 2**P), so that sqrt(d)*2**P = S + eps
+    for some 0 < eps < 1, the integer X = a*2**P + b*S differs from
+    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  So if divmod(X, c*2**P)
+    leaves a remainder R with |b| <= R <= c*2**P - |b|, the quotient is
+    the exact floor.  P is chosen once per walk, _GUARD_BITS bits above
+    the largest |b| the walk can reach, so R misses that window about
+    once in 2**31 tries, or when the value is an integer, which a
+    rational value can be.  Then the exact floor, an integer square root
+    of b*b*d, decides.  Each end's X moves by one fixed integer per
+    step, so an end costs one integer sum and one divmod.
+    """
+    d = _common_radicand(*(x for end in ends for x in end[1:]))
+    lines = []  # (weight, a, a1, b, b1, c) of each end
+    for w, start, step in ends:
+        c = math.lcm(start.c, step.c)
+        f, f1 = c // start.c, c // step.c
+        lines.append((w, start.a * f, step.a * f1, start.b * f, step.b * f1, c))
+    # |b + k*b1| <= bmax for k < n: the one margin of every end
+    bmax = max((abs(b) + n * abs(b1) for _, _, _, b, b1, _ in lines),
+               default=0)
+    shift, root = _fixed_point(d, bmax)
+    # an end's fixed-point numerator ((a + k*a1) << P) + (b + k*b1)*S moves
+    # by one integer per step; its divmod by c << P is the floor when the
+    # remainder clears bmax, and the exact floor decides otherwise
+    walk = [[(a << shift) + b * root, (a1 << shift) + b1 * root, c << shift,
+             (c << shift) - bmax, w, (a, a1, b, b1, c)]
+            for w, a, a1, b, b1, c in lines]
+    for k in range(n):
+        total = const
+        for end in walk:
+            x, step, unit, top, w, line = end
+            m, rem = divmod(x, unit)
+            if not bmax <= rem <= top:
+                a, a1, b, b1, c = line
+                m = _floor_a_plus_b_sqrt_d(a + k * a1, b + k * b1, c, d)
+            total += w * m
+            end[0] = x + step
+        yield total
+
+
 def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                  x0: SolenoidPoint, n: int) -> Iterator[int]:
     """Yield, for k = 0, ..., n-1, the weighted lift count
     sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms.
 
-    Each count is two floors of linear functions of k, taken on plain
-    integers; see discrepancy_series for why this is exact, and why a
-    term whose real length is an integer multiple of its coset spacing
-    needs no floor.
+    Each count is two floors of linear functions of k; see
+    discrepancy_series for why, and why a term whose real length is an
+    integer multiple of its coset spacing needs no floor.
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
-    d = _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
-                         *(box.hi for box, _ in terms))
+    _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
+                     *(box.hi for box, _ in terms))
     const = 0  # the total of the terms whose count never moves
-    # each walked end adds weight * floor((a + k*a1 + (b + k*b1)*sqrt(d)) / c)
-    ends = []  # (weight, a, a1, b, b1, c)
+    ends = []  # (weight, start, step): weight * floor(start + k*step)
     for box, w in terms:
         c, delta = crt_coset([(ball.p, ball.radius_exponent,
                                ball.center - x0.part(ball.p))
@@ -404,34 +449,8 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                           for ball in box.balls])
         step = (alpha.real + u) / delta
         for end, weight in ((box.lo, w), (box.hi, -w)):
-            start = (x0.real + c - end) / delta
-            den = math.lcm(start.c, step.c)
-            f, f1 = den // start.c, den // step.c
-            ends.append((weight, start.a * f, step.a * f1, start.b * f,
-                         step.b * f1, den))
-    if not ends:
-        yield from itertools.repeat(const, n)
-        return
-    # |b + k*b1| <= bmax for k < n: the one margin of every end
-    bmax = max(abs(b) + n * abs(b1) for _, _, _, b, b1, _ in ends)
-    shift, root = _fixed_point(d, bmax)
-    # an end's fixed-point numerator ((a + k*a1) << P) + (b + k*b1)*S moves
-    # by one integer per step; its divmod by c << P is the floor when the
-    # remainder clears bmax, and the exact floor decides otherwise
-    walk = [[(a << shift) + b * root, (a1 << shift) + b1 * root, c << shift,
-             (c << shift) - bmax, w, (a, a1, b, b1, c)]
-            for w, a, a1, b, b1, c in ends]
-    for k in range(n):
-        total = const
-        for end in walk:
-            x, step, unit, top, w, line = end
-            m, rem = divmod(x, unit)
-            if not bmax <= rem <= top:
-                a, a1, b, b1, c = line
-                m = _floor_a_plus_b_sqrt_d(a + k * a1, b + k * b1, c, d)
-            total += w * m
-            end[0] = x + step
-        yield total
+            ends.append((weight, (x0.real + c - end) / delta, step))
+    return _walk_floors(const, ends, n)
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
@@ -459,28 +478,17 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     floor(t + K) - floor(t) = K for every real t, so the term adds w*K
     at each step without a floor.
 
-    Every floor is first taken in fixed point.  With S = floor(sqrt(d) *
-    2**P), so that sqrt(d)*2**P = S + eps for some 0 < eps < 1, the
-    integer X = a*2**P + b*S differs from (a + b*sqrt(d))*2**P by
-    b*eps, less than |b|.  So if divmod(X, c*2**P) leaves a remainder
-    R with |b| <= R <= c*2**P - |b|, the quotient is the exact floor of
-    (a + b*sqrt(d))/c.  P is chosen once per walk, _GUARD_BITS bits above
-    the largest |b| the walk can reach, so R misses that window about
-    once in 2**31 tries, or when the value is an integer, which a
-    rational value can be.  Then the exact floor, an integer square root
-    of b*b*d, decides.  Each end's X moves by one fixed integer per
-    step, so a walked end costs one integer sum and one divmod.
-
-    D_N*c, for the denominator c of |A| = (va + vb*sqrt(d)) / c, has the
-    sqrt(d) coefficient -N*vb, so it is kept as one fixed-point integer
-    acc whose error is below N*|vb|, and its rational part is recovered
-    exactly as (acc + N*vb*S) >> P.  The running sup, kept both exactly
-    and in fixed point, is off by less than N*|vb| as well.  So when
-    |acc| exceeds it by more than E = 2*N*|vb| the sup grows, with D_N of
-    the sign of acc, and when |acc| falls short of it by more than E the
-    sup stays; inside +-E the exact sign tests, which square their
-    integers, decide.  When d = 0 or vb = 0, P = 0 and there is no error
-    to bound.  An ExactReal is built only at checkpoints.  The fixed
+    Like each floor in _walk_floors, D_N is kept in fixed point, with its
+    own P and S = floor(sqrt(d) * 2**P).  D_N*c, for the denominator c of
+    |A| = (va + vb*sqrt(d)) / c, has the sqrt(d) coefficient -N*vb, so it is
+    kept as one fixed-point integer acc whose error is below N*|vb|, and its
+    rational part is recovered exactly as (acc + N*vb*S) >> P.  The running
+    sup, kept both exactly and in fixed point, is off by less than N*|vb| as
+    well.  So when |acc| exceeds it by more than E = 2*N*|vb| the sup grows,
+    with D_N of the sign of acc, and when |acc| falls short of it by more
+    than E the sup stays; inside +-E the exact sign tests, which square
+    their integers, decide.  When d = 0 or vb = 0, P = 0 and there is no
+    error to bound.  An ExactReal is built only at checkpoints.  The fixed
     point only selects which exact answer to take, so the results equal
     those of orbit plus multiplicity exactly.
     """

@@ -60,7 +60,7 @@ MAX_BITS = 1000
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
 # and most lattice candidates cutproject counts: on the shipped configs
-# volumes takes at most about 16 s and 100 MB, cutproject about 0.6 s and 27 MB
+# volumes takes at most about 16 s and 100 MB, cutproject about 0.4 s and 25 MB
 MAX_VOLUMES = 10**5
 MAX_CUTPROJECT = 10**5
 
@@ -140,6 +140,9 @@ def _require_bits(value: int, what: str) -> int:
 # takes seconds.  A flag's range is checked with its config key's.
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# a lone surrogate, as a JSON escape such as "\ud800" gives: a string with
+# one has no strict UTF-8 form, so as a path it fails or names raw bytes
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _parse_number(text: str, grammar: re.Pattern, what: str) -> Fraction:
@@ -657,7 +660,7 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
         # 255 bytes is the longest file name that common file systems take
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or any(c in name for c in ("/", os.sep, "\0"))
-                or len(name.encode("utf-8", "surrogatepass")) > 255):
+                or _SURROGATE.search(name) or len(name.encode()) > 255):
             raise ConfigError(f"experiment {i}: name must be one plain path "
                               f"component of at most 255 UTF-8 bytes, got "
                               f"{_echo(name)}")
@@ -765,8 +768,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             overrides[key] = int(_parse_number(text, _INTEGER, flag))
 
     out = data.get("out", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a string, got {_echo(out)}")
+    if not isinstance(out, str) or _SURROGATE.search(out):
+        raise ConfigError(f"out must be a UTF-8 string, got {_echo(out)}")
     outdir = Path(args.out or out)
     if args.command == "batch":
         return cmd_batch(data, outdir, args.svg, overrides)

@@ -946,6 +946,30 @@ def test_batch_refuses_a_name_over_255_bytes_before_any_run(tmp_path,
         assert (out / name / "verdict.json").is_file()
 
 
+@pytest.mark.parametrize("text", ["o\ud800", "\ud800", "\udc80"])
+def test_a_lone_surrogate_path_exits_3_before_any_run(tmp_path, capsys,
+                                                      monkeypatch, text):
+    """A lone surrogate encodes as no UTF-8 path: as a config out it
+    crashed the write (exit 4), and as a member name it ran the member
+    and then crashed, or wrote a directory named by the raw byte 0x80.
+    Both are config errors now, before any member runs or any file is
+    made."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(WORKED, out=text)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["construct", "--config", str(cfg)]) == 3
+    err = _one_line_error(capsys, "config error: out must be a UTF-8 string")
+    assert repr(text) in err
+    first = {"name": "first", "command": "construct", "config": WORKED}
+    cfg.write_text(json.dumps({"experiments": [first, dict(first, name=text)]}),
+                   encoding="utf-8")
+    assert main(["batch", "--config", str(cfg), "--out", "out"]) == 3
+    err = _one_line_error(capsys, "config error: experiment 1: name ")
+    assert "255 UTF-8 bytes" in err and repr(text) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_batch_rejects_a_member_out_key(tmp_path, capsys):
     elsewhere = tmp_path / "elsewhere"
     cfg = tmp_path / "batch.json"

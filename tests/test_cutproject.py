@@ -175,10 +175,11 @@ def test_window_multiplicity_matches_enumeration(case):
 def test_window_multiplicity_rejects_mixed_fields():
     box = AdelicBox(ExactReal(0, 1, 2, 3), ExactReal(2),
                     (PAdicBall(2, Fraction(0), -1),))
-    with pytest.raises(FieldMismatch):
-        window_multiplicity(box, ALPHA, 1)
-    # gamma1 = 0 puts no sqrt(2) into the shift, so nothing is mixed
-    assert window_multiplicity(box, ALPHA, 0) == _count_direct(box, ALPHA, 0)
+    # a window in another field than alpha is refused whatever gamma1 is,
+    # as _lift_totals refuses a box in another field than alpha
+    for gamma1 in (1, 0):
+        with pytest.raises(FieldMismatch):
+            window_multiplicity(box, ALPHA, gamma1)
 
 
 def _oracle_counts(box, alpha, n):
@@ -207,7 +208,11 @@ def _nonzero_center(rng, p):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 3 * p ** e), p ** e)
 
 
-def test_window_counts_match_window_multiplicity_seeded():
+@pytest.mark.parametrize("guard", [brs._GUARD_BITS, 0])
+def test_window_counts_match_window_multiplicity_seeded(monkeypatch, guard):
+    # a guard of 0 leaves the walk's certified windows as narrow as they
+    # may be, so its exact fallback runs often
+    monkeypatch.setattr(brs, "_GUARD_BITS", guard)
     rng = Random(45)
     for primes in (PrimeSet(), PrimeSet([2]), PrimeSet([2, 3])):
         for case in range(40):

@@ -259,17 +259,35 @@ def test_one_place_raises_negative_volume():
     assert sites == [("brs.py", "WeightedBoxSet")]
 
 
+def _calls(module: str, function: str | None = None) -> list[str]:
+    """The name of every call in src/adelicbrs/<module>, or in one of its
+    top-level functions."""
+    tree = ast.parse((ROOT / "src" / "adelicbrs" / module)
+                     .read_text(encoding="utf-8"))
+    if function is not None:
+        tree, = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
 def test_lift_totals_walks_the_unreduced_orbit():
     """brs._lift_totals counts lattice translates of x0 + k*alpha itself:
     it reduces no orbit point (no fractional_sum, no
-    reduce_to_fundamental), and its one exact fallback floor has one
-    call site, the floor of a walked box end."""
-    tree = ast.parse((ROOT / "src" / "adelicbrs" / "brs.py")
-                     .read_text(encoding="utf-8"))
-    kernel, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "_lift_totals"]
-    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
-             for node in ast.walk(kernel) if isinstance(node, ast.Call)]
+    reduce_to_fundamental), and it floors nothing itself.  brs._walk_floors
+    walks its ends, and the walk's one exact fallback floor has one call
+    site, the floor of a walked end."""
+    calls = _calls("brs.py", "_lift_totals")
     assert "fractional_sum" not in calls
     assert "reduce_to_fundamental" not in calls
-    assert calls.count("_floor_a_plus_b_sqrt_d") == 1
+    assert "_floor_a_plus_b_sqrt_d" not in calls
+    assert _calls("brs.py", "_walk_floors").count("_floor_a_plus_b_sqrt_d") == 1
+
+
+def test_cutproject_floors_only_through_the_walk_and_exact_real():
+    """cutproject takes no floor of its own: its window counts are walked
+    by brs._walk_floors, and its oracle floors with ExactReal.floor."""
+    calls = _calls("cutproject.py")
+    assert "_floor_a_plus_b_sqrt_d" not in calls
+    assert "divmod" not in calls
+    assert "_walk_floors" in calls and "floor" in calls
