@@ -360,8 +360,8 @@ class DiscrepancySummary:
 
 
 # Bits of room the fixed-point walks keep above their error bounds: a
-# certified divmod falls back to the exact route about once in 2**(G-1)
-# tries with G of them, and on exact ties.
+# certified comparison falls back to the exact route about once in
+# 2**(G-2) tries with G of them, and on exact ties.
 _GUARD_BITS = 32
 
 
@@ -375,50 +375,81 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
     return shift, _floor_a_plus_b_sqrt_d(0, 1 << shift, 1, d)
 
 
-def _walk_floors(const: int, ends: Sequence[tuple[int, ExactReal, ExactReal]],
-                 n: int) -> Iterator[int]:
-    """Yield const + sum_i w_i * floor(start_i + k*step_i) over the ends
-    (w_i, start_i, step_i), for k = 0, ..., n-1.
+def _walk_arcs(const: int,
+               arcs: Sequence[tuple[int, ExactReal, ExactReal, ExactReal]],
+               n: int) -> Iterator[int]:
+    """Yield const + sum_i w_i * (floor(y) - floor(y - W_i)) with
+    y = x_i + k*t_i, over the arcs (w_i, x_i, t_i, W_i), for
+    k = 0, ..., n-1.
 
-    Over one denominator c, an end at step k is (a + b*sqrt(d))/c with
-    integers a and b linear in k, and its floor is first taken in fixed
-    point.  With S = floor(sqrt(d) * 2**P), so that sqrt(d)*2**P = S + eps
-    for some 0 < eps < 1, the integer X = a*2**P + b*S differs from
-    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  So if divmod(X, c*2**P)
-    leaves a remainder R with |b| <= R <= c*2**P - |b|, the quotient is
-    the exact floor.  P is chosen once per walk, _GUARD_BITS bits above
-    the largest |b| the walk can reach, so R misses that window about
-    once in 2**31 tries, or when the value is an integer, which a
-    rational value can be.  Then the exact floor, an integer square root
-    of b*b*d, decides.  Each end's X moves by one fixed integer per
-    step, so an end costs one integer sum and one divmod.
+    With y = q + f and W_i = m + g split into integer and fractional
+    parts, floor(y) - floor(y - W_i) = m + [f < g]: the count is
+    floor(W_i), which is added to const once, plus one when the point f,
+    rotating by t_i on the unit circle, lies on the arc [0, g).  So a
+    step costs each arc one integer add, its wrap into the circle and a
+    test against fixed margins, and no floor.
+
+    Over one denominator c, the point at step k is (a + b*sqrt(d))/c with
+    integers a and b linear in k, and it is kept in fixed point.  With
+    S = floor(sqrt(d) * 2**P), so that sqrt(d)*2**P = S + eps for some
+    0 < eps < 1, the integer X = a*2**P + b*S differs from
+    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  An arc keeps
+    F = X mod U for the unit U = c*2**P, and F moves by the fixed
+    integer R = X_step mod U, wrapped into [0, U) by one compare.  If
+    |b| <= F <= U - |b|, the fixed-point quotient X // U is the exact
+    floor, and F is within |b| of f*U.  The threshold T = g*c*2**P is
+    fixed-point too, within |b_g| of g*U.  So F certifies [f < g] when
+    it clears T by more than |b| + |b_g| on one side and clears 0 and U
+    by |b| on the other.  P is chosen once per walk, _GUARD_BITS bits
+    above the largest |b| + |b_g| the walk can reach, so F falls in those
+    windows about once in 2**30 tries, or on an exact tie, which a
+    rational point or a point landing on its threshold can give.  Then
+    the exact route decides: the floor of the point, by the fixed-point
+    quotient or, near 0 and U, by the exact floor (an integer square
+    root of b*b*d), and one exact sign test of f - g.
     """
-    d = _common_radicand(*(x for end in ends for x in end[1:]))
-    lines = []  # (weight, a, a1, b, b1, c) of each end
-    for w, start, step in ends:
-        c = math.lcm(start.c, step.c)
-        f, f1 = c // start.c, c // step.c
-        lines.append((w, start.a * f, step.a * f1, start.b * f, step.b * f1, c))
-    # |b + k*b1| <= bmax for k < n: the one margin of every end
-    bmax = max((abs(b) + n * abs(b1) for _, _, _, b, b1, _ in lines),
-               default=0)
-    shift, root = _fixed_point(d, bmax)
-    # an end's fixed-point numerator ((a + k*a1) << P) + (b + k*b1)*S moves
-    # by one integer per step; its divmod by c << P is the floor when the
-    # remainder clears bmax, and the exact floor decides otherwise
-    walk = [[(a << shift) + b * root, (a1 << shift) + b1 * root, c << shift,
-             (c << shift) - bmax, w, (a, a1, b, b1, c)]
-            for w, a, a1, b, b1, c in lines]
+    d = _common_radicand(*(x for arc in arcs for x in arc[1:]))
+    lines = []  # (weight, a, a1, b, b1, c, ga, gb) of each arc
+    for w, start, step, width in arcs:
+        m = width.floor()
+        const += w * m
+        g = width - m
+        c = math.lcm(start.c, step.c, g.c)
+        f, f1, fg = c // start.c, c // step.c, c // g.c
+        lines.append((w, start.a * f, step.a * f1, start.b * f, step.b * f1,
+                      c, g.a * fg, g.b * fg))
+    # |b + k*b1| + |gb| <= bound for k < n: the widest margin of the walk
+    shift, root = _fixed_point(d, max(
+        (abs(b) + n * abs(b1) + abs(gb) for _, _, _, b, b1, _, _, gb in lines),
+        default=0))
+    # an arc's F, its step R and unit U, its margins: F in [low, below)
+    # is certified below T, F in [above, top] certified above it
+    walk = []
+    for w, a, a1, b, b1, c, ga, gb in lines:
+        unit = c << shift
+        edge = abs(b) + n * abs(b1)
+        tie = (ga << shift) + gb * root
+        walk.append([((a << shift) + b * root) % unit,
+                     ((a1 << shift) + b1 * root) % unit, unit,
+                     edge, unit - edge, tie - edge - abs(gb),
+                     tie + edge + abs(gb), w, (a, a1, b, b1, c, ga, gb)])
     for k in range(n):
         total = const
-        for end in walk:
-            x, step, unit, top, w, line = end
-            m, rem = divmod(x, unit)
-            if not bmax <= rem <= top:
-                a, a1, b, b1, c = line
-                m = _floor_a_plus_b_sqrt_d(a + k * a1, b + k * b1, c, d)
-            total += w * m
-            end[0] = x + step
+        for arc in walk:
+            f, r, unit, low, top, below, above, w, line = arc
+            if low <= f < below:
+                total += w
+            elif not above <= f <= top:
+                a, a1, b, b1, c, ga, gb = line
+                a, b = a + k * a1, b + k * b1
+                if low <= f <= top:
+                    m = ((a << shift) + b * root) // unit
+                else:
+                    m = _floor_a_plus_b_sqrt_d(a, b, c, d)
+                if _sign_a_plus_b_sqrt_d(a - m * c - ga, b - gb, d) < 0:
+                    total += w
+            f += r
+            arc[0] = f - unit if f >= unit else f
         yield total
 
 
@@ -427,16 +458,16 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
     """Yield, for k = 0, ..., n-1, the weighted lift count
     sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms.
 
-    Each count is two floors of linear functions of k; see
-    discrepancy_series for why, and why a term whose real length is an
-    integer multiple of its coset spacing needs no floor.
+    Each count is one arc of _walk_arcs; see discrepancy_series for
+    why, and why a term whose real length is an integer multiple of its
+    coset spacing is not walked.
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
     _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
                      *(box.hi for box, _ in terms))
     const = 0  # the total of the terms whose count never moves
-    ends = []  # (weight, start, step): weight * floor(start + k*step)
+    arcs = []  # (weight, start, step, width), walked by _walk_arcs
     for box, w in terms:
         c, delta = crt_coset([(ball.p, ball.radius_exponent,
                                ball.center - x0.part(ball.p))
@@ -447,10 +478,9 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
             continue
         u, _ = crt_coset([(ball.p, ball.radius_exponent, -alpha.part(ball.p))
                           for ball in box.balls])
-        step = (alpha.real + u) / delta
-        for end, weight in ((box.lo, w), (box.hi, -w)):
-            ends.append((weight, (x0.real + c - end) / delta, step))
-    return _walk_floors(const, ends, n)
+        arcs.append((w, (x0.real + c - box.lo) / delta,
+                     (alpha.real + u) / delta, width))
+    return _walk_arcs(const, arcs, n)
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
@@ -471,14 +501,18 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
 
         floor((w_k - lo) / delta) - floor((w_k - hi) / delta),
 
-    two floors of linear functions of k.  So crt_coset runs twice per
-    box, and a step costs two floors per box and none for the orbit.  A
-    term needs neither floor when its real length is K coset spacings
-    for an integer K, as a full-domain term is with K = 1: the count is
-    floor(t + K) - floor(t) = K for every real t, so the term adds w*K
-    at each step without a floor.
+    two floors of linear functions of k, whose arguments differ by the
+    box's width W = (hi - lo) / delta.  Their difference is floor(W) plus
+    one when the fractional part of (w_k - lo) / delta, which rotates by
+    theta / delta on the unit circle, is below that of W; _walk_arcs
+    walks it as one arc.  So crt_coset runs twice per box, and a step
+    costs one add and one compare per box, no floor, and nothing for the
+    orbit.  A term is not walked when its real length is K coset
+    spacings for an integer K, as a full-domain term is with K = 1: the
+    count is floor(t + K) - floor(t) = K for every real t, so the term
+    adds w*K at each step.
 
-    Like each floor in _walk_floors, D_N is kept in fixed point, with its
+    Like each arc in _walk_arcs, D_N is kept in fixed point, with its
     own P and S = floor(sqrt(d) * 2**P).  D_N*c, for the denominator c of
     |A| = (va + vb*sqrt(d)) / c, has the sqrt(d) coefficient -N*vb, so it is
     kept as one fixed-point integer acc whose error is below N*|vb|, and its
@@ -488,15 +522,18 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     with D_N of the sign of acc, and when |acc| falls short of it by more
     than E the sup stays; inside +-E the exact sign tests, which square
     their integers, decide.  When d = 0 or vb = 0, P = 0 and there is no
-    error to bound.  An ExactReal is built only at checkpoints.  The fixed
-    point only selects which exact answer to take, so the results equal
-    those of orbit plus multiplicity exactly.
+    error to bound.  A step compares |acc| with sup - E, which moves only
+    when the sup does, and N with the next checkpoint, the only place an
+    ExactReal is built.  The fixed point only selects which exact answer
+    to take, so the results equal those of orbit plus multiplicity
+    exactly.
     """
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     goal = checkpoints[-1]
-    marks = set(checkpoints)
+    marks = iter(checkpoints)
+    mark = next(marks)
     vol = boxset.claimed_volume
     va, vb, vc, d = vol.a, vol.b, vol.c, vol.d
     slack = 2 * goal * abs(vb)  # E above
@@ -505,19 +542,18 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     move = (va << shift) + vb * root  # |A| likewise, up to vb*theta
     acc = 0  # D_N * vc * 2**P = (acc_a << P) + acc_b*S, acc_b = -N*vb
     sup_a = sup_b = sup = 0  # running sup exactly, and in fixed point
+    low = -slack  # sup - E: an |acc| below it leaves the sup as it is
     sup_at = 0
     records = []
-    for k, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal)):
+    for n, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal), 1):
         if total < 0:
-            x = reduce_to_fundamental(x0 + alpha.scale(k))[0]
+            x = reduce_to_fundamental(x0 + alpha.scale(n - 1))[0]
             raise NegativeIndicator(f"indicator {total} at {x!r}")
-        n = k + 1
         acc += total * unit - move
-        gap = abs(acc) - sup
-        if gap >= -slack:
+        if abs(acc) >= low:
             acc_b = -n * vb
             acc_a = (acc - acc_b * root) >> shift
-            if gap > slack:
+            if abs(acc) - sup > slack:
                 negative, grows = acc < 0, True
             else:
                 negative = _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0
@@ -527,13 +563,15 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
             if grows:
                 sup = -acc if negative else acc
                 sup_a, sup_b = (-acc_a, -acc_b) if negative else (acc_a, acc_b)
+                low = sup - slack
                 sup_at = n
-        if n in marks:
+        if n == mark:
             acc_b = -n * vb
             records.append(DiscrepancyRecord(
                 n, ExactReal._reduced((acc - acc_b * root) >> shift, acc_b,
                                       vc, d),
                 ExactReal._reduced(sup_a, sup_b, vc, d)))
+            mark = next(marks, 0)
     return DiscrepancySummary(tuple(records), sup_at)
 
 

@@ -11,10 +11,13 @@ The admissible p-adic coset is found independently of brs: its base
 point is the negated sum of p-adic fractional parts, not a CRT
 solution, so the agreement of the two counts checks the correspondence
 rather than restating it.  The real edge is shared: given the coset, a
-count is two floors of linear functions of gamma1, walked by
-brs._walk_floors.  window_multiplicity counts one gamma1 from scratch
-and is the tests' oracle; correspondence_check walks gamma1 = 0..n-1
-and compares those counts with the lift counts behind verify.
+count is two floors of linear functions of gamma1 whose arguments
+differ by the window's scaled width W, so it is floor(W), plus one when
+a point rotating on the unit circle lies below the fractional part of
+W; brs._walk_arcs walks it as one arc.  window_multiplicity counts one
+gamma1 from scratch and is the tests' oracle; correspondence_check
+walks gamma1 = 0..n-1 and compares those counts with the lift counts
+behind verify.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
     F0 = sum_p {-c_p/s}_p and F1 = sum_p {alpha_p/s}_p the k-th eta is
     y_k - floor(y_k) for y_k = -(F0 + k*F1).  The integer floor(y_k)
     moves both floors of the count alike, so with t = alpha_real/s - F1
-    the count is floor(-lo/s - F0 + k*t) - floor(-hi/s - F0 + k*t).
+    the count is floor(-lo/s - F0 + k*t) - floor(-hi/s - F0 + k*t): the
+    arc (1, -lo/s - F0, t, (hi - lo)/s) of brs._walk_arcs, which adds
+    floor((hi - lo)/s) once and walks the rest as a rotating point.
     """
     s = _spacing(window)
     f0 = sum(padic_fractional_part(-ball.center / s, ball.p)
@@ -76,8 +81,8 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
     f1 = sum(padic_fractional_part(alpha.part(ball.p) / s, ball.p)
              for ball in window.balls)
     t = alpha.real / s - f1
-    return brs._walk_floors(0, [(1, -window.lo / s - f0, t),
-                                (-1, -window.hi / s - f0, t)], n)
+    return brs._walk_arcs(0, [(1, -window.lo / s - f0, t,
+                               (window.hi - window.lo) / s)], n)
 
 
 def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adelicbrs import brs
+from adelicbrs import brs, cutproject
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, FieldMismatch,
                        NegativeIndicator, NegativeVolume, PAdicBall,
                        PrimeSet, SolenoidPoint, WeightedBoxSet, ZeroGamma,
@@ -657,6 +657,50 @@ def test_discrepancy_series_two_primes_takes_few_exact_floors(monkeypatch):
         discrepancy_series(boxset, ALPHA23, zero_point(ALPHA23.primes), [n])
         assert len(calls) == 1
         assert all(b == 0 for _, b, _, _ in calls)
+
+
+@pytest.mark.parametrize("guard", [32, 0, -10 ** 6])
+def test_walk_decides_exact_ties_like_the_scalar_route(monkeypatch, guard):
+    # over ALPHA the coset points of the box [lo, hi) x Z_2 at step k are
+    # k*beta + Z, beta = sqrt(2) - 1/2.  lo = 2*beta - 2 is one at k = 2,
+    # where the walked point is an integer (counted, the box is closed
+    # there), and hi = 5*beta - 4 one at k = 5, where the point's
+    # fractional part equals the width's (not counted, open there)
+    beta = SQRT2 - Fraction(1, 2)
+    box = AdelicBox(beta * 2 - 2, beta * 5 - 4,
+                    (PAdicBall(2, Fraction(0), 0),))
+    monkeypatch.setattr(brs, "_GUARD_BITS", guard)
+    floors = _calls(monkeypatch)
+    signs = _calls(monkeypatch, "_sign_a_plus_b_sqrt_d")
+    n = 40
+    x0 = zero_point(P2)
+    got = list(brs._lift_totals([(box, 1)], ALPHA, x0, n))
+    assert got == [box_lift_count(box, x) for x in orbit(ALPHA, x0, n)]
+    assert got[2] == 1 and got[5] == 0
+    if guard == 32:  # one exact floor, at the integer; one tie, at k = 5
+        assert [b for _, b, _, _ in floors] == [0]
+        assert len(signs) == 2
+    assert list(cutproject._window_counts(box, ALPHA, n)) == \
+        [cutproject.window_multiplicity(box, ALPHA, k) for k in range(n)]
+
+
+def test_walk_threshold_margin_covers_the_width(monkeypatch):
+    # a width m*sqrt(2) + j has a fixed-point threshold off by up to |m|,
+    # far more than a short walk's point (step coefficient 1): with
+    # guard 0 a margin that left out |m| on either side of the threshold
+    # would certify wrong counts
+    monkeypatch.setattr(brs, "_GUARD_BITS", 0)
+    rng = Random(5)
+    x0 = zero_point(P2)
+    for m in range(100, 300):
+        s = SQRT2 * (m * rng.choice((1, -1)))
+        lo = ExactReal.from_rational(Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 5)))
+        box = AdelicBox(lo, lo + s - s.floor() + rng.randint(0, 2),
+                        (PAdicBall(2, Fraction(0), 0),))
+        want = [box_lift_count(box, x) for x in orbit(ALPHA, x0, 4)]
+        assert list(brs._lift_totals([(box, 1)], ALPHA, x0, 4)) == want
+        assert list(cutproject._window_counts(box, ALPHA, 4)) == want
 
 
 @pytest.mark.parametrize("guard", [0, -10 ** 6])

@@ -274,20 +274,24 @@ def _calls(module: str, function: str | None = None) -> list[str]:
 def test_lift_totals_walks_the_unreduced_orbit():
     """brs._lift_totals counts lattice translates of x0 + k*alpha itself:
     it reduces no orbit point (no fractional_sum, no
-    reduce_to_fundamental), and it floors nothing itself.  brs._walk_floors
-    walks its ends, and the walk's one exact fallback floor has one call
-    site, the floor of a walked end."""
+    reduce_to_fundamental), and it floors nothing itself.  brs._walk_arcs
+    walks its arcs, rotating each point by an add and a compare, with no
+    divmod, and the walk's one exact fallback floor has one call site,
+    the floor of a walked point."""
     calls = _calls("brs.py", "_lift_totals")
     assert "fractional_sum" not in calls
     assert "reduce_to_fundamental" not in calls
     assert "_floor_a_plus_b_sqrt_d" not in calls
-    assert _calls("brs.py", "_walk_floors").count("_floor_a_plus_b_sqrt_d") == 1
+    assert "_walk_arcs" in calls
+    walk = _calls("brs.py", "_walk_arcs")
+    assert "divmod" not in walk
+    assert walk.count("_floor_a_plus_b_sqrt_d") == 1
 
 
 def test_cutproject_floors_only_through_the_walk_and_exact_real():
     """cutproject takes no floor of its own: its window counts are walked
-    by brs._walk_floors, and its oracle floors with ExactReal.floor."""
+    by brs._walk_arcs, and its oracle floors with ExactReal.floor."""
     calls = _calls("cutproject.py")
     assert "_floor_a_plus_b_sqrt_d" not in calls
     assert "divmod" not in calls
-    assert "_walk_floors" in calls and "floor" in calls
+    assert "_walk_arcs" in calls and "floor" in calls
