@@ -375,81 +375,71 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
     return shift, _floor_a_plus_b_sqrt_d(0, 1 << shift, 1, d)
 
 
-def _walk_arcs(const: int,
-               arcs: Sequence[tuple[int, ExactReal, ExactReal, ExactReal]],
-               n: int) -> Iterator[int]:
-    """Yield const + sum_i w_i * (floor(y) - floor(y - W_i)) with
-    y = x_i + k*t_i, over the arcs (w_i, x_i, t_i, W_i), for
-    k = 0, ..., n-1.
+def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
+              step: ExactReal, width: ExactReal, n: int) -> Iterator[int]:
+    """Yield total + w * (floor(y) - floor(y - W)) with y = x + k*t, for
+    the k-th total read from totals, k = 0, ..., n-1: one walked box,
+    the arc (w, x, t, W) = (w, start, step, width).  A walk over several
+    boxes is a chain of these stages, each reading the totals of the
+    one before it.
 
-    With y = q + f and W_i = m + g split into integer and fractional
-    parts, floor(y) - floor(y - W_i) = m + [f < g]: the count is
-    floor(W_i), which is added to const once, plus one when the point f,
-    rotating by t_i on the unit circle, lies on the arc [0, g).  So a
-    step costs each arc one integer add, its wrap into the circle and a
-    test against fixed margins, and no floor.
+    With y = q + f and W = m + g split into integer and fractional parts,
+    floor(y) - floor(y - W) = m + [f < g]: the count is floor(W) plus one
+    when the point f, rotating by t on the unit circle, lies on the arc
+    [0, g).  So a step costs one integer add, a wrap into the circle and
+    a test against fixed margins, and no floor.
 
     Over one denominator c, the point at step k is (a + b*sqrt(d))/c with
     integers a and b linear in k, and it is kept in fixed point.  With
     S = floor(sqrt(d) * 2**P), so that sqrt(d)*2**P = S + eps for some
     0 < eps < 1, the integer X = a*2**P + b*S differs from
-    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  An arc keeps
-    F = X mod U for the unit U = c*2**P, and F moves by the fixed
-    integer R = X_step mod U, wrapped into [0, U) by one compare.  If
+    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  The stage keeps
+    F = X mod U for the unit U = c*2**P, and F moves by the fixed integer
+    R = X_step mod U, wrapped into [0, U) by one compare.  If
     |b| <= F <= U - |b|, the fixed-point quotient X // U is the exact
     floor, and F is within |b| of f*U.  The threshold T = g*c*2**P is
-    fixed-point too, within |b_g| of g*U.  So F certifies [f < g] when
-    it clears T by more than |b| + |b_g| on one side and clears 0 and U
-    by |b| on the other.  P is chosen once per walk, _GUARD_BITS bits
-    above the largest |b| + |b_g| the walk can reach, so F falls in those
-    windows about once in 2**30 tries, or on an exact tie, which a
-    rational point or a point landing on its threshold can give.  Then
-    the exact route decides: the floor of the point, by the fixed-point
-    quotient or, near 0 and U, by the exact floor (an integer square
-    root of b*b*d), and one exact sign test of f - g.
+    fixed-point too, within |b_g| of g*U.  So F certifies [f < g] when it
+    clears T by more than |b| + |b_g| on one side and clears 0 and U by
+    |b| on the other.  P is chosen per box, _GUARD_BITS bits above the
+    largest |b| + |b_g| its walk can reach, so F falls in those windows
+    about once in 2**30 tries, or on an exact tie, which a rational point
+    or a point landing on its threshold can give.  Then the exact route
+    decides: the floor of the point, by the fixed-point quotient or, near
+    0 and U, by the exact floor (an integer square root of b*b*d), and
+    one exact sign test of f - g.
     """
-    d = _common_radicand(*(x for arc in arcs for x in arc[1:]))
-    lines = []  # (weight, a, a1, b, b1, c, ga, gb) of each arc
-    for w, start, step, width in arcs:
-        m = width.floor()
-        const += w * m
-        g = width - m
-        c = math.lcm(start.c, step.c, g.c)
-        f, f1, fg = c // start.c, c // step.c, c // g.c
-        lines.append((w, start.a * f, step.a * f1, start.b * f, step.b * f1,
-                      c, g.a * fg, g.b * fg))
-    # |b + k*b1| + |gb| <= bound for k < n: the widest margin of the walk
-    shift, root = _fixed_point(d, max(
-        (abs(b) + n * abs(b1) + abs(gb) for _, _, _, b, b1, _, _, gb in lines),
-        default=0))
-    # an arc's F, its step R and unit U, its margins: F in [low, below)
-    # is certified below T, F in [above, top] certified above it
-    walk = []
-    for w, a, a1, b, b1, c, ga, gb in lines:
-        unit = c << shift
-        edge = abs(b) + n * abs(b1)
-        tie = (ga << shift) + gb * root
-        walk.append([((a << shift) + b * root) % unit,
-                     ((a1 << shift) + b1 * root) % unit, unit,
-                     edge, unit - edge, tie - edge - abs(gb),
-                     tie + edge + abs(gb), w, (a, a1, b, b1, c, ga, gb)])
-    for k in range(n):
-        total = const
-        for arc in walk:
-            f, r, unit, low, top, below, above, w, line = arc
-            if low <= f < below:
-                total += w
-            elif not above <= f <= top:
-                a, a1, b, b1, c, ga, gb = line
-                a, b = a + k * a1, b + k * b1
-                if low <= f <= top:
-                    m = ((a << shift) + b * root) // unit
-                else:
-                    m = _floor_a_plus_b_sqrt_d(a, b, c, d)
-                if _sign_a_plus_b_sqrt_d(a - m * c - ga, b - gb, d) < 0:
-                    total += w
-            f += r
-            arc[0] = f - unit if f >= unit else f
+    d = _common_radicand(start, step, width)
+    m = width.floor()
+    g = width - m
+    c = math.lcm(start.c, step.c, g.c)
+    a, b = start.a * (c // start.c), start.b * (c // start.c)
+    a1, b1 = step.a * (c // step.c), step.b * (c // step.c)
+    ga, gb = g.a * (c // g.c), g.b * (c // g.c)
+    edge = abs(b) + n * abs(b1)  # at least |b + k*b1| for every k < n
+    shift, root = _fixed_point(d, edge + abs(gb))
+    unit = c << shift
+    tie = (ga << shift) + gb * root
+    # F in [edge, below) is certified below T, F in [above, top] above it
+    top, below, above = unit - edge, tie - edge - abs(gb), tie + edge + abs(gb)
+    f = ((a << shift) + b * root) % unit
+    r = ((a1 << shift) + b1 * root) % unit
+    base, hit = w * m, w * m + w
+    for k, total in enumerate(totals):
+        if edge <= f < below:
+            total += hit
+        elif above <= f <= top:
+            total += base
+        else:
+            ak, bk = a + k * a1, b + k * b1
+            if edge <= f <= top:
+                q = ((ak << shift) + bk * root) // unit
+            else:
+                q = _floor_a_plus_b_sqrt_d(ak, bk, c, d)
+            sign = _sign_a_plus_b_sqrt_d(ak - q * c - ga, bk - gb, d)
+            total += hit if sign < 0 else base
+        f += r
+        if f >= unit:
+            f -= unit
         yield total
 
 
@@ -458,16 +448,17 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
     """Yield, for k = 0, ..., n-1, the weighted lift count
     sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms.
 
-    Each count is one arc of _walk_arcs; see discrepancy_series for
-    why, and why a term whose real length is an integer multiple of its
-    coset spacing is not walked.
+    The terms whose count never moves seed the chain with their constant
+    total, and each other term adds one _walk_arc stage to it; see
+    discrepancy_series for why, and why a term whose real length is an
+    integer multiple of its coset spacing is not walked.
     """
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
     _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
                      *(box.hi for box, _ in terms))
     const = 0  # the total of the terms whose count never moves
-    arcs = []  # (weight, start, step, width), walked by _walk_arcs
+    arcs = []  # (weight, start, step, width) of each walked term
     for box, w in terms:
         c, delta = crt_coset([(ball.p, ball.radius_exponent,
                                ball.center - x0.part(ball.p))
@@ -480,7 +471,10 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                           for ball in box.balls])
         arcs.append((w, (x0.real + c - box.lo) / delta,
                      (alpha.real + u) / delta, width))
-    return _walk_arcs(const, arcs, n)
+    totals = itertools.repeat(const, n)
+    for arc in arcs:
+        totals = _walk_arc(totals, *arc, n)
+    return totals
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
@@ -504,29 +498,29 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     two floors of linear functions of k, whose arguments differ by the
     box's width W = (hi - lo) / delta.  Their difference is floor(W) plus
     one when the fractional part of (w_k - lo) / delta, which rotates by
-    theta / delta on the unit circle, is below that of W; _walk_arcs
-    walks it as one arc.  So crt_coset runs twice per box, and a step
-    costs one add and one compare per box, no floor, and nothing for the
+    theta / delta on the unit circle, is below that of W; one _walk_arc
+    stage walks it.  So crt_coset runs twice per box, and a step costs
+    one add and one compare per box, no floor, and nothing for the
     orbit.  A term is not walked when its real length is K coset
     spacings for an integer K, as a full-domain term is with K = 1: the
     count is floor(t + K) - floor(t) = K for every real t, so the term
     adds w*K at each step.
 
-    Like each arc in _walk_arcs, D_N is kept in fixed point, with its
-    own P and S = floor(sqrt(d) * 2**P).  D_N*c, for the denominator c of
-    |A| = (va + vb*sqrt(d)) / c, has the sqrt(d) coefficient -N*vb, so it is
-    kept as one fixed-point integer acc whose error is below N*|vb|, and its
-    rational part is recovered exactly as (acc + N*vb*S) >> P.  The running
-    sup, kept both exactly and in fixed point, is off by less than N*|vb| as
-    well.  So when |acc| exceeds it by more than E = 2*N*|vb| the sup grows,
-    with D_N of the sign of acc, and when |acc| falls short of it by more
-    than E the sup stays; inside +-E the exact sign tests, which square
-    their integers, decide.  When d = 0 or vb = 0, P = 0 and there is no
-    error to bound.  A step compares |acc| with sup - E, which moves only
-    when the sup does, and N with the next checkpoint, the only place an
-    ExactReal is built.  The fixed point only selects which exact answer
-    to take, so the results equal those of orbit plus multiplicity
-    exactly.
+    Like the point of each _walk_arc stage, D_N is kept in fixed point,
+    with its own P and S = floor(sqrt(d) * 2**P).  D_N*c, for the
+    denominator c of |A| = (va + vb*sqrt(d)) / c, has the sqrt(d)
+    coefficient -N*vb, so it is kept as one fixed-point integer acc whose
+    error is below N*|vb|, and its rational part is recovered exactly as
+    (acc + N*vb*S) >> P.  The running sup, kept both exactly and in fixed
+    point, is off by less than N*|vb| as well.  So when |acc| exceeds it
+    by more than E = 2*N*|vb| the sup grows, with D_N of the sign of acc,
+    and when |acc| falls short of it by more than E the sup stays; inside
+    +-E the exact sign tests, which square their integers, decide.  When
+    d = 0 or vb = 0, P = 0 and there is no error to bound.  A step
+    compares |acc| with sup - E, which moves only when the sup does, and
+    N with the next checkpoint, the only place an ExactReal is built.  The
+    fixed point only selects which exact answer to take, so the results
+    equal those of orbit plus multiplicity exactly.
     """
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1:

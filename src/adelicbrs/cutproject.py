@@ -14,14 +14,15 @@ rather than restating it.  The real edge is shared: given the coset, a
 count is two floors of linear functions of gamma1 whose arguments
 differ by the window's scaled width W, so it is floor(W), plus one when
 a point rotating on the unit circle lies below the fractional part of
-W; brs._walk_arcs walks it as one arc.  window_multiplicity counts one
-gamma1 from scratch and is the tests' oracle; correspondence_check
-walks gamma1 = 0..n-1 and compares those counts with the lift counts
-behind verify.
+W; one brs._walk_arc stage walks it, as it walks each box of verify.
+window_multiplicity counts one gamma1 from scratch and is the tests'
+oracle; correspondence_check walks gamma1 = 0..n-1 and compares those
+counts with the lift counts behind verify.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -71,9 +72,10 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
     F0 = sum_p {-c_p/s}_p and F1 = sum_p {alpha_p/s}_p the k-th eta is
     y_k - floor(y_k) for y_k = -(F0 + k*F1).  The integer floor(y_k)
     moves both floors of the count alike, so with t = alpha_real/s - F1
-    the count is floor(-lo/s - F0 + k*t) - floor(-hi/s - F0 + k*t): the
-    arc (1, -lo/s - F0, t, (hi - lo)/s) of brs._walk_arcs, which adds
-    floor((hi - lo)/s) once and walks the rest as a rotating point.
+    the count is floor(-lo/s - F0 + k*t) - floor(-hi/s - F0 + k*t): one
+    brs._walk_arc stage of weight 1, start -lo/s - F0, step t and width
+    (hi - lo)/s, seeded with zeros, which adds floor((hi - lo)/s) to each
+    and walks the rest as a rotating point.
     """
     s = _spacing(window)
     f0 = sum(padic_fractional_part(-ball.center / s, ball.p)
@@ -81,8 +83,8 @@ def _window_counts(window: AdelicBox, alpha: AdeleVector,
     f1 = sum(padic_fractional_part(alpha.part(ball.p) / s, ball.p)
              for ball in window.balls)
     t = alpha.real / s - f1
-    return brs._walk_arcs(0, [(1, -window.lo / s - f0, t,
-                               (window.hi - window.lo) / s)], n)
+    return brs._walk_arc(itertools.repeat(0, n), 1, -window.lo / s - f0, t,
+                         (window.hi - window.lo) / s, n)
 
 
 def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,

@@ -565,7 +565,7 @@ def test_lift_counts_solves_each_coset_once(monkeypatch):
 
 def _calls(monkeypatch, name="_floor_a_plus_b_sqrt_d"):
     """The argument tuples of every later call of brs.<name>, except the
-    floor of sqrt(d) * 2**P that brs._fixed_point takes once per walk: the
+    floor of sqrt(d) * 2**P that brs._fixed_point takes once per stage: the
     calls counted are the per-step exact fallbacks."""
     calls = []
     run = getattr(brs, name)
@@ -701,6 +701,48 @@ def test_walk_threshold_margin_covers_the_width(monkeypatch):
         want = [box_lift_count(box, x) for x in orbit(ALPHA, x0, 4)]
         assert list(brs._lift_totals([(box, 1)], ALPHA, x0, 4)) == want
         assert list(cutproject._window_counts(box, ALPHA, 4)) == want
+
+
+@pytest.mark.parametrize("guard", [32, 0, -10 ** 6])
+def test_walk_sizes_each_stage_for_its_own_box(monkeypatch, guard):
+    # the sqrt(2) coefficients of the two boxes' ends differ by about
+    # 10**12, so their stages keep the point in fixed point at different
+    # P; the stages commute, so the order of the terms does not matter
+    monkeypatch.setattr(brs, "_GUARD_BITS", guard)
+    shifts = []
+    sizing = brs._fixed_point
+
+    def recording(d, bound):
+        shift, root = sizing(d, bound)
+        shifts.append(shift)
+        return shift, root
+
+    monkeypatch.setattr(brs, "_fixed_point", recording)
+    ball = (PAdicBall(2, Fraction(1, 3), -1),)
+    small = AdelicBox(ExactReal(1, 1, 3, 2), ExactReal(5, 2, 4, 2), ball)
+    lo = ExactReal(1, -10 ** 12, 7, 2)
+    large = AdelicBox(lo, lo + ExactReal(2, 10 ** 12 + 3, 5, 2), ball)
+    terms = [(small, 2), (large, -1)]
+    n = 60
+    x0 = _random_start(Random(7), ALPHA)
+    want = _scalar_totals(terms, ALPHA, x0, n)
+    assert list(brs._lift_totals(terms, ALPHA, x0, n)) == want
+    assert list(brs._lift_totals(terms[::-1], ALPHA, x0, n)) == want
+    if guard >= 0:
+        assert len(set(shifts)) == 2
+        assert max(shifts) - min(shifts) >= 30
+
+
+def test_walk_of_no_terms_yields_its_seed():
+    # a set with no terms builds no stage: the chain is its seed alone
+    x0 = zero_point(P2)
+    assert list(brs._lift_totals((), ALPHA, x0, 5)) == [0] * 5
+    assert list(brs._lift_totals((), ALPHA, x0, 0)) == []
+    empty = construct_brs(ALPHA, Fraction(0), 0)
+    s = discrepancy_series(empty, ALPHA, x0, [1, 7, 40])
+    assert [r.n for r in s.records] == [1, 7, 40]
+    assert all(r.value == 0 and r.running_sup == 0 for r in s.records)
+    assert s.sup_at == 0
 
 
 @pytest.mark.parametrize("guard", [0, -10 ** 6])

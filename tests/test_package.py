@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import adelicbrs
-from adelicbrs import cli, errors
+from adelicbrs import brs, cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -274,24 +274,28 @@ def _calls(module: str, function: str | None = None) -> list[str]:
 def test_lift_totals_walks_the_unreduced_orbit():
     """brs._lift_totals counts lattice translates of x0 + k*alpha itself:
     it reduces no orbit point (no fractional_sum, no
-    reduce_to_fundamental), and it floors nothing itself.  brs._walk_arcs
-    walks its arcs, rotating each point by an add and a compare, with no
-    divmod, and the walk's one exact fallback floor has one call site,
-    the floor of a walked point."""
+    reduce_to_fundamental), and it floors nothing itself.  Each walked
+    box is one brs._walk_arc stage, which rotates its point by an add and
+    a compare, with no divmod, and whose one exact fallback floor has one
+    call site, the floor of the walked point.  There is no walk over many
+    arcs at once (no _walk_arcs)."""
     calls = _calls("brs.py", "_lift_totals")
     assert "fractional_sum" not in calls
     assert "reduce_to_fundamental" not in calls
     assert "_floor_a_plus_b_sqrt_d" not in calls
-    assert "_walk_arcs" in calls
-    walk = _calls("brs.py", "_walk_arcs")
+    assert "_walk_arc" in calls
+    assert not hasattr(brs, "_walk_arcs")
+    walk = _calls("brs.py", "_walk_arc")
     assert "divmod" not in walk
     assert walk.count("_floor_a_plus_b_sqrt_d") == 1
 
 
 def test_cutproject_floors_only_through_the_walk_and_exact_real():
     """cutproject takes no floor of its own: its window counts are walked
-    by brs._walk_arcs, and its oracle floors with ExactReal.floor."""
+    by one brs._walk_arc stage, and its oracle floors with
+    ExactReal.floor."""
     calls = _calls("cutproject.py")
     assert "_floor_a_plus_b_sqrt_d" not in calls
     assert "divmod" not in calls
-    assert "_walk_arcs" in calls and "floor" in calls
+    assert "_walk_arc" in calls and "floor" in calls
+    assert "_walk_arcs" not in calls
