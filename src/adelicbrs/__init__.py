@@ -10,39 +10,36 @@ floating point appears only in reports and Weyl averages.
 
 from .errors import (AdelicError, FieldMismatch, NegativeIndicator,
                      NegativeVolume, PrimeSetMismatch, ZeroGamma)
-from .exact import (ExactReal, PrimeSet, ceil_exact, crt_coset, factorize,
-                    is_prime, padic_abs, padic_fractional_part,
-                    padic_valuation, rational_residue)
+from .exact import (ExactReal, PrimeSet, crt_coset, factorize, is_prime,
+                    padic_abs, padic_fractional_part, padic_valuation,
+                    rational_residue)
 from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, character_phase,
-                       is_minimal, orbit, reduce_to_fundamental, rotate,
-                       weyl_sum, zero_point)
+                       is_minimal, reduce_to_fundamental, weyl_sum, zero_point)
 from .brs import (AdelicBox, BRSConstruction, DiscrepancyRecord,
                   DiscrepancySummary, PAdicBall, VolumeElement,
-                  WeightedBoxSet, allowable_volume, box_lift_count,
-                  character_volume_identity, choose_n, construct_brs,
-                  construct_witness, count_coset_in_interval,
-                  discrepancy_series, enumerate_volumes, multiplicity,
-                  reduce_to_finite, witness_flags)
-from .cutproject import correspondence_check, window_multiplicity
+                  WeightedBoxSet, allowable_volume, character_volume_identity,
+                  choose_n, construct_brs, construct_witness,
+                  discrepancy_series, enumerate_volumes, reduce_to_finite,
+                  witness_flags)
+from .cutproject import correspondence_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdelicError", "FieldMismatch", "NegativeIndicator", "NegativeVolume",
     "PrimeSetMismatch", "ZeroGamma",
-    "ExactReal", "PrimeSet", "ceil_exact", "crt_coset", "factorize",
+    "ExactReal", "PrimeSet", "crt_coset", "factorize",
     "is_prime", "padic_abs", "padic_fractional_part",
     "padic_valuation", "rational_residue",
     "AdeleVector", "SolenoidPoint",
-    "as_lattice", "character_phase", "is_minimal", "orbit",
-    "reduce_to_fundamental", "rotate", "weyl_sum", "zero_point",
+    "as_lattice", "character_phase", "is_minimal",
+    "reduce_to_fundamental", "weyl_sum", "zero_point",
     "AdelicBox", "BRSConstruction", "DiscrepancyRecord",
     "DiscrepancySummary", "PAdicBall", "VolumeElement",
-    "WeightedBoxSet", "allowable_volume", "box_lift_count",
+    "WeightedBoxSet", "allowable_volume",
     "character_volume_identity", "choose_n", "construct_brs",
-    "construct_witness", "count_coset_in_interval",
-    "discrepancy_series", "enumerate_volumes", "multiplicity",
+    "construct_witness", "discrepancy_series", "enumerate_volumes",
     "reduce_to_finite", "witness_flags",
-    "correspondence_check", "window_multiplicity",
+    "correspondence_check",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .exact import (ExactReal, PrimeSet, RationalLike, _common_radicand,
                     _floor_a_plus_b_sqrt_d, _sign_a_plus_b_sqrt_d, ceil_exact,
                     crt_coset, factorize, padic_abs, padic_valuation)
 from .solenoid import (AdeleVector, SolenoidPoint, as_lattice, fractional_sum,
-                       is_minimal, reduce_to_fundamental)
+                       is_minimal)
 
 
 # --- geometry -------------------------------------------------------------
@@ -74,10 +74,6 @@ class AdelicBox:
         if not lo < hi:
             raise ValueError("real interval must be nonempty")
         self.lo, self.hi, self.balls = lo, hi, balls
-
-    @property
-    def primes(self) -> PrimeSet:
-        return PrimeSet(ball.p for ball in self.balls)
 
     def volume(self) -> ExactReal:
         v = self.hi - self.lo
@@ -396,17 +392,16 @@ def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
     (a + b*sqrt(d))*2**P by b*eps, less than |b|.  The stage keeps
     F = X mod U for the unit U = c*2**P, and F moves by the fixed integer
     R = X_step mod U, wrapped into [0, U) by one compare.  If
-    |b| <= F <= U - |b|, the fixed-point quotient X // U is the exact
-    floor, and F is within |b| of f*U.  The threshold T = g*c*2**P is
+    |b| <= F <= U - |b|, X and (a + b*sqrt(d))*2**P share their quotient
+    by U, so F is within |b| of f*U.  The threshold T = g*c*2**P is
     fixed-point too, within |b_g| of g*U.  So F certifies [f < g] when it
     clears T by more than |b| + |b_g| on one side and clears 0 and U by
     |b| on the other.  P is chosen per box, _GUARD_BITS bits above the
     largest |b| + |b_g| its walk can reach, so F falls in those windows
     about once in 2**30 tries, or on an exact tie, which a rational point
     or a point landing on its threshold can give.  Then the exact route
-    decides: the floor of the point, by the fixed-point quotient or, near
-    0 and U, by the exact floor (an integer square root of b*b*d), and
-    one exact sign test of f - g.
+    decides: the exact floor of the point (an integer square root of
+    b*b*d), and one exact sign test of f - g.
     """
     d = _common_radicand(start, step, width)
     m = width.floor()
@@ -431,10 +426,7 @@ def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
             total += base
         else:
             ak, bk = a + k * a1, b + k * b1
-            if edge <= f <= top:
-                q = ((ak << shift) + bk * root) // unit
-            else:
-                q = _floor_a_plus_b_sqrt_d(ak, bk, c, d)
+            q = _floor_a_plus_b_sqrt_d(ak, bk, c, d)
             sign = _sign_a_plus_b_sqrt_d(ak - q * c - ga, bk - gb, d)
             total += hit if sign < 0 else base
         f += r
@@ -541,8 +533,7 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     records = []
     for n, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal), 1):
         if total < 0:
-            x = reduce_to_fundamental(x0 + alpha.scale(n - 1))[0]
-            raise NegativeIndicator(f"indicator {total} at {x!r}")
+            raise NegativeIndicator(f"indicator {total} at step {n - 1}")
         acc += total * unit - move
         if abs(acc) >= low:
             acc_b = -n * vb

@@ -665,6 +665,9 @@ def cmd_batch(data: dict, outdir: Path, svg: bool,
             raise ConfigError(f"experiment {i}: name must be one plain path "
                               f"component of at most 255 UTF-8 bytes, got "
                               f"{_echo(name)}")
+        if name == "batch_verdict.json":  # the batch's own verdict file
+            raise ConfigError(f"experiment {i}: name {_echo(name)} is taken "
+                              f"by the batch verdict")
         if name in runs:
             raise ConfigError(f"experiment {i}: duplicate name {_echo(name)}")
         shown = _echo(name, str)

@@ -419,12 +419,6 @@ class ExactReal:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
     def __abs__(self):
         return -self if self.sign() < 0 else self
 

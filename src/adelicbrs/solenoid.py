@@ -76,16 +76,6 @@ class AdeleVector:
             self.primes, self.real + other.real,
             {p: x + y for (p, x), (_, y) in zip(self.parts, other.parts)})
 
-    def __sub__(self, other: "AdeleVector") -> "AdeleVector":
-        self._check(other)
-        return AdeleVector(
-            self.primes, self.real - other.real,
-            {p: x - y for (p, x), (_, y) in zip(self.parts, other.parts)})
-
-    def __neg__(self) -> "AdeleVector":
-        return AdeleVector(self.primes, -self.real,
-                           {p: -x for p, x in self.parts})
-
     def scale(self, k: RationalLike) -> "AdeleVector":
         k = Fraction(k)
         return AdeleVector(self.primes, self.real * k,

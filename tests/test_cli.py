@@ -924,6 +924,21 @@ def test_batch_rejects_bad_experiment_names(tmp_path, capsys, names):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json"]
 
 
+def test_batch_refuses_the_name_of_its_own_verdict(tmp_path, capsys):
+    """A member named batch_verdict.json ran and wrote its files into
+    OUT/batch_verdict.json, and then the batch verdict could not replace
+    that directory: exit 3 with the member's files left behind.  The name
+    is refused with the other name rules, before OUT is created."""
+    first = {"name": "batch_verdict.json", "command": "construct",
+             "config": WORKED}
+    capsys.readouterr()
+    code, out = run(tmp_path, "batch", {"experiments": [
+        first, dict(first, name="second")]})
+    err = _one_line_error(capsys, "config error: experiment 0: name ")
+    assert code == 3 and "'batch_verdict.json'" in err
+    assert not out.exists()
+
+
 def test_batch_refuses_a_name_over_255_bytes_before_any_run(tmp_path,
                                                            capsys):
     """A name is a file name, so one the file system cannot take is

@@ -6,12 +6,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
-                       PrimeSet, WeightedBoxSet, box_lift_count, brs,
-                       choose_n, construct_witness, correspondence_check,
-                       orbit, window_multiplicity, zero_point)
-from adelicbrs.cutproject import _window_counts
+                       PrimeSet, WeightedBoxSet, brs, choose_n,
+                       construct_witness, correspondence_check, zero_point)
+from adelicbrs.brs import box_lift_count
+from adelicbrs.cutproject import _window_counts, window_multiplicity
 from adelicbrs.errors import FieldMismatch
 from adelicbrs.exact import crt_coset
+from adelicbrs.solenoid import orbit
 from conftest import lift_count_oracle, random_alpha, random_gamma, val
 
 P2 = PrimeSet([2])

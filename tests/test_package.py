@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -299,3 +300,52 @@ def test_cutproject_floors_only_through_the_walk_and_exact_real():
     assert "divmod" not in calls
     assert "_walk_arc" in calls and "floor" in calls
     assert "_walk_arcs" not in calls
+
+
+# the scalar route: one orbit point at a time, reduced and counted from
+# scratch.  The tests keep it as the reference; the package runs none of it.
+ORACLE = ("rotate", "orbit", "box_lift_count", "multiplicity",
+          "count_coset_in_interval", "window_multiplicity", "ceil_exact")
+
+
+def test_the_run_path_reaches_no_scalar_oracle():
+    """The walk, the series, the cut-and-project pass and every command
+    name no oracle function, reduce no orbit point and scale no vector;
+    cli.starting_point reduces the configured start point once, outside
+    them.  The oracle is not public, and every name bench/ imports or
+    traces still resolves on its module."""
+    refused = set(ORACLE) | {"reduce_to_fundamental", "scale"}
+    guarded = {"brs.py": {"discrepancy_series", "_lift_totals", "_walk_arc"},
+               "cutproject.py": {"_window_counts", "correspondence_check"},
+               "cli.py": None}
+    for module, names in guarded.items():
+        tree = ast.parse((ROOT / "src" / "adelicbrs" / module)
+                         .read_text(encoding="utf-8"))
+        functions = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and (node.name in names if names
+                          else node.name.startswith("cmd_"))]
+        assert len(functions) == len(names or functions) > 0, module
+        for function in functions:
+            used = {getattr(node, "id", getattr(node, "attr", None))
+                    for node in ast.walk(function)}
+            assert not used & refused, (module, function.name)
+    assert "reduce_to_fundamental" in _calls("cli.py", "starting_point")
+    assert not set(adelicbrs.__all__) & set(ORACLE)
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
+    traced = [(module, attr) for node in tracer.body
+              if isinstance(node, ast.Assign) and
+              getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")
+              for module, attr, _ in ast.literal_eval(node.value)]
+    checks = ast.parse((ROOT / "bench" / "checks.py").read_text("utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(checks)
+                if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("adelicbrs.")
+                for alias in node.names]
+    assert {"rotate", "orbit", "multiplicity", "box_lift_count",
+            "window_multiplicity"} <= {attr for _, attr in traced + imported}
+    for module, attr in traced + imported:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
