@@ -371,37 +371,31 @@ def _fixed_point(d: int, bound: int) -> tuple[int, int]:
     return shift, _floor_a_plus_b_sqrt_d(0, 1 << shift, 1, d)
 
 
-def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
-              step: ExactReal, width: ExactReal, n: int) -> Iterator[int]:
-    """Yield total + w * (floor(y) - floor(y - W)) with y = x + k*t, for
-    the k-th total read from totals, k = 0, ..., n-1: one walked box,
-    the arc (w, x, t, W) = (w, start, step, width).  A walk over several
-    boxes is a chain of these stages, each reading the totals of the
-    one before it.
-
-    With y = q + f and W = m + g split into integer and fractional parts,
-    floor(y) - floor(y - W) = m + [f < g]: the count is floor(W) plus one
-    when the point f, rotating by t on the unit circle, lies on the arc
-    [0, g).  So a step costs one integer add, a wrap into the circle and
-    a test against fixed margins, and no floor.
+def _arc_walk(start: ExactReal, step: ExactReal, width: ExactReal,
+              n: int) -> tuple:
+    """The fixed-point walk of the arc (start, step, width) over n steps:
+    (m, f, r, unit, below, above, top, exact).  m = floor(W), f is the
+    point at step 0 on the circle [0, unit) and r its step, f in
+    [0, below) certifies [f < g] and f in [above, top] certifies its
+    negation, and exact holds the integers _arc_hit reads.
 
     Over one denominator c, the point at step k is (a + b*sqrt(d))/c with
     integers a and b linear in k, and it is kept in fixed point.  With
     S = floor(sqrt(d) * 2**P), so that sqrt(d)*2**P = S + eps for some
     0 < eps < 1, the integer X = a*2**P + b*S differs from
-    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  The stage keeps
-    F = X mod U for the unit U = c*2**P, and F moves by the fixed integer
-    R = X_step mod U, wrapped into [0, U) by one compare.  If
-    |b| <= F <= U - |b|, X and (a + b*sqrt(d))*2**P share their quotient
-    by U, so F is within |b| of f*U.  The threshold T = g*c*2**P is
-    fixed-point too, within |b_g| of g*U.  So F certifies [f < g] when it
-    clears T by more than |b| + |b_g| on one side and clears 0 and U by
-    |b| on the other.  P is chosen per box, _GUARD_BITS bits above the
-    largest |b| + |b_g| its walk can reach, so F falls in those windows
-    about once in 2**30 tries, or on an exact tie, which a rational point
-    or a point landing on its threshold can give.  Then the exact route
-    decides: the exact floor of the point (an integer square root of
-    b*b*d), and one exact sign test of f - g.
+    (a + b*sqrt(d))*2**P by b*eps, less than |b|.  The walk keeps
+    F = X mod U for the unit U = c*2**P, which moves by the fixed integer
+    R = X_step mod U.  If |b| <= F <= U - |b|, X and (a + b*sqrt(d))*2**P
+    share their quotient by U, so F is within |b| of f*U.  The threshold
+    T = g*c*2**P is fixed-point too, within |b_g| of g*U.  So F certifies
+    [f < g] when it clears T by more than |b| + |b_g| on one side and
+    clears 0 and U by |b| on the other.  The walk keeps f = (F - B) mod U
+    for B = |b_0| + n*|b_1|, at least |b| at every step, so that the range
+    certified below T starts at 0 and one compare tests it.  P is chosen
+    per arc, _GUARD_BITS bits above the largest |b| + |b_g| its
+    walk can reach, so F falls outside those ranges about once in 2**30
+    tries, or on an exact tie, which a rational point or a point landing
+    on its threshold can give.  Then _arc_hit decides.
     """
     d = _common_radicand(start, step, width)
     m = width.floor()
@@ -410,47 +404,70 @@ def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
     a, b = start.a * (c // start.c), start.b * (c // start.c)
     a1, b1 = step.a * (c // step.c), step.b * (c // step.c)
     ga, gb = g.a * (c // g.c), g.b * (c // g.c)
-    edge = abs(b) + n * abs(b1)  # at least |b + k*b1| for every k < n
+    edge = abs(b) + n * abs(b1)  # B above
     shift, root = _fixed_point(d, edge + abs(gb))
     unit = c << shift
     tie = (ga << shift) + gb * root
-    # F in [edge, below) is certified below T, F in [above, top] above it
-    top, below, above = unit - edge, tie - edge - abs(gb), tie + edge + abs(gb)
-    f = ((a << shift) + b * root) % unit
+    f = ((a << shift) + b * root - edge) % unit
     r = ((a1 << shift) + b1 * root) % unit
+    return (m, f, r, unit, tie - 2 * edge - abs(gb), tie + abs(gb),
+            unit - 2 * edge, (a, b, a1, b1, c, d, ga, gb))
+
+
+def _arc_hit(k: int, a: int, b: int, a1: int, b1: int, c: int, d: int,
+             ga: int, gb: int) -> bool:
+    """[f_k < g] by the exact route, for the point f_k at step k of an arc
+    with the integers of _arc_walk: the exact floor of the point (an
+    integer square root of b*b*d), then one exact sign test of f_k - g."""
+    ak, bk = a + k * a1, b + k * b1
+    q = _floor_a_plus_b_sqrt_d(ak, bk, c, d)
+    return _sign_a_plus_b_sqrt_d(ak - q * c - ga, bk - gb, d) < 0
+
+
+def _walk_arc(totals: Iterable[int], w: int, start: ExactReal,
+              step: ExactReal, width: ExactReal, n: int) -> Iterator[int]:
+    """Yield total + w * (floor(y) - floor(y - W)) with y = x + k*t, for
+    the k-th total read from totals, k = 0, ..., n-1: one walked box,
+    the arc (w, x, t, W) = (w, start, step, width).  A walk over several
+    boxes is a chain of these stages, each reading the totals of the
+    one before it; discrepancy_series walks a set of one arc without
+    them, and this chain is its reference.
+
+    With y = q + f and W = m + g split into integer and fractional parts,
+    floor(y) - floor(y - W) = m + [f < g]: the count is floor(W) plus one
+    when the point f, rotating by t on the unit circle, lies on the arc
+    [0, g).  So a step costs one integer add, a wrap into the circle and
+    a test against the fixed margins of _arc_walk, and no floor; the rare
+    step those margins leave open takes the exact route, _arc_hit.
+    """
+    m, f, r, unit, below, above, top, exact = _arc_walk(start, step, width, n)
     base, hit = w * m, w * m + w
     for k, total in enumerate(totals):
-        if edge <= f < below:
+        if f < below or (not above <= f <= top and _arc_hit(k, *exact)):
             total += hit
-        elif above <= f <= top:
-            total += base
         else:
-            ak, bk = a + k * a1, b + k * b1
-            q = _floor_a_plus_b_sqrt_d(ak, bk, c, d)
-            sign = _sign_a_plus_b_sqrt_d(ak - q * c - ga, bk - gb, d)
-            total += hit if sign < 0 else base
+            total += base
         f += r
         if f >= unit:
             f -= unit
         yield total
 
 
-def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
-                 x0: SolenoidPoint, n: int) -> Iterator[int]:
-    """Yield, for k = 0, ..., n-1, the weighted lift count
-    sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms.
-
-    The terms whose count never moves seed the chain with their constant
-    total, and each other term adds one _walk_arc stage to it; see
-    discrepancy_series for why, and why a term whose real length is an
-    integer multiple of its coset spacing is not walked.
-    """
+def _arcs(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
+          x0: SolenoidPoint) -> tuple[int, list[tuple]]:
+    """(const, arcs) for the weighted lift count of x0 + k*alpha over the
+    terms: const is the total of the terms whose count never moves, and
+    arcs holds the arc (w, x, t, W) of each other term, so that the count
+    at step k is const plus w * (floor(x + k*t) - floor(x + k*t - W))
+    summed over the arcs.  See discrepancy_series for why, and why a term
+    whose real length is an integer multiple of its coset spacing is not
+    walked."""
     if x0.primes != alpha.primes:
         raise PrimeSetMismatch(f"{x0.primes} != {alpha.primes}")
     _common_radicand(alpha.real, x0.real, *(box.lo for box, _ in terms),
                      *(box.hi for box, _ in terms))
-    const = 0  # the total of the terms whose count never moves
-    arcs = []  # (weight, start, step, width) of each walked term
+    const = 0
+    arcs = []
     for box, w in terms:
         c, delta = crt_coset([(ball.p, ball.radius_exponent,
                                ball.center - x0.part(ball.p))
@@ -463,10 +480,70 @@ def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
                           for ball in box.balls])
         arcs.append((w, (x0.real + c - box.lo) / delta,
                      (alpha.real + u) / delta, width))
+    return const, arcs
+
+
+def _chain(const: int, arcs: Sequence[tuple], n: int) -> Iterator[int]:
+    """The totals of _arcs(...) for k = 0, ..., n-1: the constant total
+    seeds the chain, and each arc adds one _walk_arc stage to it."""
     totals = itertools.repeat(const, n)
     for arc in arcs:
         totals = _walk_arc(totals, *arc, n)
     return totals
+
+
+def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
+                 x0: SolenoidPoint, n: int) -> Iterator[int]:
+    """Yield, for k = 0, ..., n-1, the weighted lift count
+    sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms: the
+    _walk_arc chain over _arcs(terms, alpha, x0)."""
+    return _chain(*_arcs(terms, alpha, x0), n)
+
+
+class _Discrepancy:
+    """The fixed point of one discrepancy series; see discrepancy_series.
+    The walk keeps D_N * vc * 2**P as an integer acc, in which unit is a
+    lift count of 1 and move is |A|; this keeps the running sup of |D_N|,
+    exactly (sup_a, sup_b) and in fixed point (sup).  grow and record are
+    the only places that leave fixed point."""
+
+    __slots__ = ("vb", "vc", "d", "slack", "shift", "root", "unit", "move",
+                 "sup", "sup_a", "sup_b", "sup_at")
+
+    def __init__(self, volume: ExactReal, goal: int):
+        self.vb, self.vc, self.d = volume.b, volume.c, volume.d
+        self.slack = 2 * goal * abs(volume.b)  # E
+        self.shift, self.root = _fixed_point(volume.d, self.slack)
+        self.unit = volume.c << self.shift  # a lift count of 1
+        self.move = (volume.a << self.shift) + volume.b * self.root  # |A|
+        self.sup = self.sup_a = self.sup_b = self.sup_at = 0
+
+    def grow(self, acc: int, n: int) -> int:
+        """Make |D_n| the running sup if it exceeds it, for the
+        fixed-point acc of D_n, and return the sup less E: an |acc|
+        below that leaves the sup as it is."""
+        acc_b = -n * self.vb
+        acc_a = (acc - acc_b * self.root) >> self.shift
+        if abs(acc) - self.sup > self.slack:
+            negative = acc < 0
+        else:
+            d = self.d
+            negative = _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0
+            if _sign_a_plus_b_sqrt_d(
+                    (-acc_a if negative else acc_a) - self.sup_a,
+                    (-acc_b if negative else acc_b) - self.sup_b, d) <= 0:
+                return self.sup - self.slack
+        if negative:
+            acc, acc_a, acc_b = -acc, -acc_a, -acc_b
+        self.sup, self.sup_a, self.sup_b, self.sup_at = acc, acc_a, acc_b, n
+        return acc - self.slack
+
+    def record(self, acc: int, n: int) -> DiscrepancyRecord:
+        acc_b = -n * self.vb
+        return DiscrepancyRecord(
+            n, ExactReal._reduced((acc - acc_b * self.root) >> self.shift,
+                                  acc_b, self.vc, self.d),
+            ExactReal._reduced(self.sup_a, self.sup_b, self.vc, self.d))
 
 
 def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
@@ -490,74 +567,89 @@ def discrepancy_series(boxset: WeightedBoxSet, alpha: AdeleVector,
     two floors of linear functions of k, whose arguments differ by the
     box's width W = (hi - lo) / delta.  Their difference is floor(W) plus
     one when the fractional part of (w_k - lo) / delta, which rotates by
-    theta / delta on the unit circle, is below that of W; one _walk_arc
-    stage walks it.  So crt_coset runs twice per box, and a step costs
-    one add and one compare per box, no floor, and nothing for the
-    orbit.  A term is not walked when its real length is K coset
-    spacings for an integer K, as a full-domain term is with K = 1: the
-    count is floor(t + K) - floor(t) = K for every real t, so the term
-    adds w*K at each step.
+    theta / delta on the unit circle, is below that of W: the box is an
+    arc, walked in fixed point (_arc_walk).  So crt_coset runs twice per
+    box, and a step costs one add and one compare per box, no floor, and
+    nothing for the orbit.  A term is not walked when its real length is
+    K coset spacings for an integer K, as a full-domain term is with
+    K = 1: the count is floor(t + K) - floor(t) = K for every real t, so
+    the term adds w*K at each step (_arcs).
 
-    Like the point of each _walk_arc stage, D_N is kept in fixed point,
-    with its own P and S = floor(sqrt(d) * 2**P).  D_N*c, for the
-    denominator c of |A| = (va + vb*sqrt(d)) / c, has the sqrt(d)
-    coefficient -N*vb, so it is kept as one fixed-point integer acc whose
-    error is below N*|vb|, and its rational part is recovered exactly as
-    (acc + N*vb*S) >> P.  The running sup, kept both exactly and in fixed
-    point, is off by less than N*|vb| as well.  So when |acc| exceeds it
-    by more than E = 2*N*|vb| the sup grows, with D_N of the sign of acc,
-    and when |acc| falls short of it by more than E the sup stays; inside
-    +-E the exact sign tests, which square their integers, decide.  When
-    d = 0 or vb = 0, P = 0 and there is no error to bound.  A step
-    compares |acc| with sup - E, which moves only when the sup does, and
-    N with the next checkpoint, the only place an ExactReal is built.  The
-    fixed point only selects which exact answer to take, so the results
-    equal those of orbit plus multiplicity exactly.
+    D_N is kept in fixed point too, with its own P and
+    S = floor(sqrt(d) * 2**P).  D_N*c, for the denominator c of
+    |A| = (va + vb*sqrt(d)) / c, has the sqrt(d) coefficient -N*vb, so it
+    is kept as one fixed-point integer acc whose error is below N*|vb|,
+    and its rational part is recovered exactly as (acc + N*vb*S) >> P.
+    The running sup, kept both exactly and in fixed point, is off by less
+    than N*|vb| as well.  So when |acc| exceeds it by more than
+    E = 2*N*|vb| the sup grows, with D_N of the sign of acc, and when
+    |acc| falls short of it by more than E the sup stays; inside +-E the
+    exact sign tests, which square their integers, decide.  When d = 0 or
+    vb = 0, P = 0 and there is no error to bound.  A step compares |acc|
+    with sup - E, which moves only when the sup does.
+
+    A set with one walked arc, as every construction and control box is,
+    is walked in one loop with no generator.  Its step adds one of two
+    fixed integers to acc, for a count of hit = const + w*floor(W) + w on
+    the arc or base = const + w*floor(W) off it, and the exact signs of
+    hit - |A| and base - |A| say which way D_N moves, so only that side
+    of the band is tested: |D_N| can only pass the sup on the side D_N
+    moves to.  The loop runs one range per checkpoint segment, and wraps
+    the point by one compare.  Other sets, and a set with a negative
+    count, which must fail at the step that has it, add the totals of
+    the _walk_arc chain.  The fixed point only selects which exact answer
+    to take, so the results equal those of orbit plus multiplicity
+    exactly.
     """
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     goal = checkpoints[-1]
-    marks = iter(checkpoints)
-    mark = next(marks)
+    const, arcs = _arcs(boxset.terms, alpha, x0)
     vol = boxset.claimed_volume
-    va, vb, vc, d = vol.a, vol.b, vol.c, vol.d
-    slack = 2 * goal * abs(vb)  # E above
-    shift, root = _fixed_point(d, slack)
-    unit = vc << shift  # a lift count of 1 in D_N * vc * 2**P
-    move = (va << shift) + vb * root  # |A| likewise, up to vb*theta
-    acc = 0  # D_N * vc * 2**P = (acc_a << P) + acc_b*S, acc_b = -N*vb
-    sup_a = sup_b = sup = 0  # running sup exactly, and in fixed point
-    low = -slack  # sup - E: an |acc| below it leaves the sup as it is
-    sup_at = 0
+    series = _Discrepancy(vol, goal)
+    unit, move, grow = series.unit, series.move, series.grow
+    low = -series.slack  # the sup less E, at sup 0
+    acc = n = 0  # D_N in fixed point (times way, in the one-arc loop)
     records = []
-    for n, total in enumerate(_lift_totals(boxset.terms, alpha, x0, goal), 1):
-        if total < 0:
-            raise NegativeIndicator(f"indicator {total} at step {n - 1}")
-        acc += total * unit - move
-        if abs(acc) >= low:
-            acc_b = -n * vb
-            acc_a = (acc - acc_b * root) >> shift
-            if abs(acc) - sup > slack:
-                negative, grows = acc < 0, True
-            else:
-                negative = _sign_a_plus_b_sqrt_d(acc_a, acc_b, d) < 0
-                grows = _sign_a_plus_b_sqrt_d(
-                    (-acc_a if negative else acc_a) - sup_a,
-                    (-acc_b if negative else acc_b) - sup_b, d) > 0
-            if grows:
-                sup = -acc if negative else acc
-                sup_a, sup_b = (-acc_a, -acc_b) if negative else (acc_a, acc_b)
-                low = sup - slack
-                sup_at = n
-        if n == mark:
-            acc_b = -n * vb
-            records.append(DiscrepancyRecord(
-                n, ExactReal._reduced((acc - acc_b * root) >> shift, acc_b,
-                                      vc, d),
-                ExactReal._reduced(sup_a, sup_b, vc, d)))
-            mark = next(marks, 0)
-    return DiscrepancySummary(tuple(records), sup_at)
+    if len(arcs) == 1:
+        w, start, step, width = arcs[0]
+        m, f, r, cycle, below, above, top, exact = _arc_walk(start, step,
+                                                            width, goal)
+        base, hit = const + w * m, const + w * m + w
+        if 0 <= min(base, hit) <= vol <= max(base, hit):
+            way = 1 if hit >= base else -1  # the way D_N moves on the arc
+            up, down = way * (hit * unit - move), way * (base * unit - move)
+            high, wrap = -low, cycle - r
+            for mark in checkpoints:
+                for n in range(n + 1, mark + 1):
+                    if f < below or (not above <= f <= top
+                                     and _arc_hit(n - 1, *exact)):
+                        acc += up
+                        if acc >= low:
+                            low = grow(way * acc, n)
+                            high = -low
+                    else:
+                        acc += down
+                        if acc <= high:
+                            low = grow(way * acc, n)
+                            high = -low
+                    if f < wrap:
+                        f += r
+                    else:
+                        f -= wrap
+                records.append(series.record(way * acc, mark))
+            return DiscrepancySummary(tuple(records), series.sup_at)
+    totals = _chain(const, arcs, goal)
+    for mark in checkpoints:
+        for n, total in zip(range(n + 1, mark + 1), totals):
+            if total < 0:
+                raise NegativeIndicator(f"indicator {total} at step {n - 1}")
+            acc += total * unit - move
+            if abs(acc) >= low:
+                low = grow(acc, n)
+        records.append(series.record(acc, mark))
+    return DiscrepancySummary(tuple(records), series.sup_at)
 
 
 def character_volume_identity(boxset: WeightedBoxSet,

@@ -54,8 +54,8 @@ MAX_FACTORED = 10**12
 # these, and Python prints no integer above 4300 digits: with all of them at
 # the cap over Q = {2}, {2, 3} or 2..29, the longest has 2112 digits (0.3 s)
 MAX_BITS = 1000
-# longest orbit walk verify runs (its last checkpoint): about 3 s on
-# configs/two_primes.json at about 0.3 us per step.  weyl is closed form and
+# longest orbit walk verify runs (its last checkpoint): about 1.3 s on
+# configs/two_primes.json at about 0.13 us per step.  weyl is closed form and
 # takes any N.
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,

@@ -14,7 +14,8 @@ rather than restating it.  The real edge is shared: given the coset, a
 count is two floors of linear functions of gamma1 whose arguments
 differ by the window's scaled width W, so it is floor(W), plus one when
 a point rotating on the unit circle lies below the fractional part of
-W; one brs._walk_arc stage walks it, as it walks each box of verify.
+W; one brs._walk_arc stage walks it, on the fixed-point arc
+(brs._arc_walk) that verify walks for each box too.
 window_multiplicity counts one gamma1 from scratch and is the tests'
 oracle; correspondence_check walks gamma1 = 0..n-1 and compares those
 counts with the lift counts behind verify.

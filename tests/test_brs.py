@@ -657,6 +657,45 @@ def test_discrepancy_series_two_primes_takes_few_exact_floors(monkeypatch):
         assert all(b == 0 for _, b, _, _ in calls)
 
 
+CIRCLE = AdeleVector(PrimeSet(), SQRT2, {})
+
+
+def _shipped(name):
+    """The rotation and box set of a shipped config; each starts at 0."""
+    if name == "control_box":
+        box = AdelicBox(ExactReal(0), ExactReal(1, 0, 2),
+                        (PAdicBall(2, Fraction(0), 0),))
+        return ALPHA, WeightedBoxSet(((box, 1),), box.volume(), 0)
+    alpha, gamma, n = {"worked_example": (ALPHA, Fraction(1, 2), 1),
+                       "circle": (CIRCLE, Fraction(1), 2),
+                       "two_primes": (ALPHA23, Fraction(5, 6), 2)}[name]
+    return alpha, construct_brs(alpha, gamma, n)
+
+
+def _refused(*args):
+    raise AssertionError("the _walk_arc chain ran")
+
+
+@pytest.mark.parametrize("name,band", [
+    ("worked_example", 0), ("circle", 0), ("two_primes", 0),
+    ("control_box", 212)])
+def test_discrepancy_series_shipped_configs_take_few_exact_routes(
+        monkeypatch, name, band):
+    # each shipped config walks one arc, inside discrepancy_series, and
+    # at N = 1e5 takes the exact route exactly where the _walk_arc chain
+    # does: one exact floor and one sign test at k = 0, where the start
+    # point 0 puts the walked point on a rational integer, and on
+    # control_box, whose volume 1/2 is rational, two sign tests at each
+    # of the 106 steps where |D_N| equals the running sup
+    alpha, boxset = _shipped(name)
+    monkeypatch.setattr(brs, "_chain", _refused)
+    floors = _calls(monkeypatch)
+    signs = _calls(monkeypatch, "_sign_a_plus_b_sqrt_d")
+    discrepancy_series(boxset, alpha, zero_point(alpha.primes), [10 ** 5])
+    assert [b for _, b, _, _ in floors] == [0]
+    assert len(signs) == 1 + band
+
+
 @pytest.mark.parametrize("guard", [32, 0, -10 ** 6])
 def test_walk_decides_exact_ties_like_the_scalar_route(monkeypatch, guard):
     # over ALPHA the coset points of the box [lo, hi) x Z_2 at step k are
@@ -682,6 +721,118 @@ def test_walk_decides_exact_ties_like_the_scalar_route(monkeypatch, guard):
         assert len(signs) == 2
     assert list(cutproject._window_counts(box, ALPHA, n)) == \
         [cutproject.window_multiplicity(box, ALPHA, k) for k in range(n)]
+
+
+def _one_arc_cases(nprimes):
+    """A random construction and a random control set over nprimes
+    primes, each walking one arc, with random start points."""
+    cases = {}
+    seed = 0
+    while len(cases) < 2:
+        rng = Random(seed)
+        seed += 1
+        alpha = random_alpha(rng)
+        if len(alpha.primes) != nprimes:
+            continue
+        boxset = _random_boxset(rng, alpha)
+        x0 = _random_start(rng, alpha)
+        if len(brs._arcs(boxset.terms, alpha, x0)[1]) == 1:
+            cases.setdefault(boxset.source_gamma is None,
+                             (alpha, boxset, x0))
+    return list(cases.values())
+
+
+def _chain_route(boxset):
+    """The set with a weight-0 copy of each term: the same counts and
+    volume, but two walked arcs, so that discrepancy_series adds the
+    totals of the _walk_arc chain."""
+    idle = tuple((box, 0) for box, _ in boxset.terms)
+    return WeightedBoxSet(boxset.terms + idle, boxset.claimed_volume, 0)
+
+
+def _one_arc_routes_agree(monkeypatch, boxset, alpha, x0, checkpoints,
+                          want):
+    for guard in (32, 0, -10 ** 6):
+        with monkeypatch.context() as mp:
+            mp.setattr(brs, "_GUARD_BITS", guard)
+            assert _kernel_series(_chain_route(boxset), alpha, x0,
+                                  checkpoints) == want
+            mp.setattr(brs, "_chain", _refused)
+            assert _kernel_series(boxset, alpha, x0, checkpoints) == want
+
+
+@pytest.mark.parametrize("nprimes", [0, 1, 2])
+def test_one_arc_series_matches_chain_and_scalar_routes(monkeypatch,
+                                                        nprimes):
+    # at guard 0 the certified ranges are as narrow as they may be, and
+    # at -10**6 P = 0, so nearly every step takes the exact route of the
+    # arc and of the sup; checkpoints 1 and 2 make segments of one step
+    checkpoints = [1, 2, 37, 500, 1999, 2000]
+    for alpha, boxset, x0 in _one_arc_cases(nprimes):
+        want = _scalar_series(boxset, alpha, x0, checkpoints)
+        _one_arc_routes_agree(monkeypatch, boxset, alpha, x0, checkpoints,
+                              want)
+
+
+def test_one_arc_series_decides_exact_ties(monkeypatch):
+    # the tie box of test_walk_decides_exact_ties_like_the_scalar_route:
+    # its walked point is an integer at k = 2 and on its threshold at
+    # k = 5, and at guard 32 the one-arc loop takes the exact route there
+    # and nowhere else, as the chain does
+    beta = SQRT2 - Fraction(1, 2)
+    box = AdelicBox(beta * 2 - 2, beta * 5 - 4,
+                    (PAdicBall(2, Fraction(0), 0),))
+    boxset = WeightedBoxSet(((box, 1),), box.volume(), 0)
+    x0 = zero_point(P2)
+    checkpoints = [1, 2, 3, 5, 6, 40]
+    want = _scalar_series(boxset, ALPHA, x0, checkpoints)
+    _one_arc_routes_agree(monkeypatch, boxset, ALPHA, x0, checkpoints, want)
+    monkeypatch.setattr(brs, "_chain", _refused)
+    floors = _calls(monkeypatch)
+    signs = _calls(monkeypatch, "_sign_a_plus_b_sqrt_d")
+    assert _kernel_series(boxset, ALPHA, x0, checkpoints) == want
+    assert [b for _, b, _, _ in floors] == [0, 6]
+    assert len(signs) == 2
+
+
+def test_one_arc_series_with_negative_weight(monkeypatch):
+    # a box of weight -1 under two full-domain terms: the count is 1 on
+    # the arc and 2 off it, so D_N moves down on the arc and up off it,
+    # the other way round from a box of positive weight
+    for alpha in (CIRCLE, ALPHA, ALPHA23):
+        full = AdelicBox.full_domain(alpha.primes)
+        balls = tuple(PAdicBall(p, Fraction(0), 0) for p in alpha.primes)
+        box = AdelicBox(ExactReal(0), alpha.real - alpha.real.floor(), balls)
+        terms = ((box, -1), (full, 2))
+        boxset = WeightedBoxSet(terms, full.volume() * 2 - box.volume(), 0)
+        x0 = _random_start(Random(11), alpha)
+        const, arcs = brs._arcs(terms, alpha, x0)
+        assert const == 2 and [w for w, *_ in arcs] == [-1]
+        checkpoints = [1, 3, 250, 700]
+        want = _scalar_series(boxset, alpha, x0, checkpoints)
+        _one_arc_routes_agree(monkeypatch, boxset, alpha, x0, checkpoints,
+                              want)
+
+
+def test_one_arc_series_names_a_negative_count_like_the_chain():
+    # a box of weight -2 over one full-domain term counts -1 on the arc:
+    # the series fails at the first step on the arc, with the message
+    # the chain gives, and it does not matter which way it walks
+    full = AdelicBox.full_domain(P2)
+    box = AdelicBox(ExactReal(1, 0, 3), ExactReal(1, 0, 3) + SQRT2 - 1,
+                    (PAdicBall(2, Fraction(0), 0),))
+    boxset = WeightedBoxSet(((box, -2), (full, 1)), ExactReal(0), 0)
+    x0 = _random_start(Random(5), ALPHA)
+    counts = [box_lift_count(box, x) for x in orbit(ALPHA, x0, 50)]
+    k = counts.index(1)
+    assert k > 0
+    for checkpoints in ([k + 1], [1, 50]):
+        with pytest.raises(NegativeIndicator) as series:
+            discrepancy_series(boxset, ALPHA, x0, checkpoints)
+        assert str(series.value) == f"indicator -1 at step {k}"
+    with pytest.raises(NegativeIndicator) as chain:
+        discrepancy_series(_chain_route(boxset), ALPHA, x0, [50])
+    assert str(chain.value) == str(series.value)
 
 
 def test_walk_threshold_margin_covers_the_width(monkeypatch):

@@ -3,10 +3,12 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import adelicbrs
-from adelicbrs import brs, cli, errors
+from adelicbrs import (AdeleVector, ExactReal, PrimeSet, brs, cli,
+                       construct_brs, discrepancy_series, errors, zero_point)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -273,22 +275,53 @@ def _calls(module: str, function: str | None = None) -> list[str]:
 
 
 def test_lift_totals_walks_the_unreduced_orbit():
-    """brs._lift_totals counts lattice translates of x0 + k*alpha itself:
-    it reduces no orbit point (no fractional_sum, no
-    reduce_to_fundamental), and it floors nothing itself.  Each walked
-    box is one brs._walk_arc stage, which rotates its point by an add and
-    a compare, with no divmod, and whose one exact fallback floor has one
-    call site, the floor of the walked point.  There is no walk over many
-    arcs at once (no _walk_arcs)."""
-    calls = _calls("brs.py", "_lift_totals")
-    assert "fractional_sum" not in calls
-    assert "reduce_to_fundamental" not in calls
-    assert "_floor_a_plus_b_sqrt_d" not in calls
-    assert "_walk_arc" in calls
+    """brs._arcs splits the terms into a constant total and one arc per
+    walked box, at x0 + k*alpha itself: it reduces no orbit point (no
+    fractional_sum, no reduce_to_fundamental), and it floors nothing
+    itself.  brs._lift_totals is the chain of brs._walk_arc stages over
+    it (brs._chain).  A stage, and the one-arc loop of
+    brs.discrepancy_series, rotate the point by an add and a compare,
+    with no divmod, and take the exact route through brs._arc_hit, which
+    holds the one call of the exact floor besides brs._fixed_point's
+    floor of sqrt(d) * 2**P.  There is no walk over many arcs at once
+    (no _walk_arcs)."""
+    for name in ("_arcs", "_chain", "_lift_totals"):
+        calls = _calls("brs.py", name)
+        assert "fractional_sum" not in calls
+        assert "reduce_to_fundamental" not in calls
+        assert "_floor_a_plus_b_sqrt_d" not in calls
+    assert {"_arcs", "_chain"} <= set(_calls("brs.py", "_lift_totals"))
+    assert "_walk_arc" in _calls("brs.py", "_chain")
     assert not hasattr(brs, "_walk_arcs")
-    walk = _calls("brs.py", "_walk_arc")
-    assert "divmod" not in walk
-    assert walk.count("_floor_a_plus_b_sqrt_d") == 1
+    for name in ("_walk_arc", "discrepancy_series"):
+        calls = _calls("brs.py", name)
+        assert "divmod" not in calls
+        assert {"_arc_walk", "_arc_hit"} <= set(calls)
+    tree = ast.parse((ROOT / "src" / "adelicbrs" / "brs.py")
+                     .read_text(encoding="utf-8"))
+    floors = [(top.name, node.lineno) for top in tree.body
+              for node in ast.walk(top) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_floor_a_plus_b_sqrt_d"]
+    assert [name for name, _ in floors] == ["_fixed_point", "_arc_hit"]
+
+
+def test_one_arc_series_walks_no_chain(tmp_path, monkeypatch):
+    """A set of one walked arc, as every construction and control box
+    is, is walked inside discrepancy_series: no _walk_arc stage runs, in
+    the library or in verify."""
+    def refused(*args):
+        raise AssertionError("a _walk_arc stage ran")
+
+    monkeypatch.setattr(brs, "_walk_arc", refused)
+    alpha = AdeleVector(PrimeSet([2]), ExactReal.sqrt(2), {2: Fraction(1, 2)})
+    boxset = construct_brs(alpha, Fraction(1, 2), 1)
+    summary = discrepancy_series(boxset, alpha, zero_point(alpha.primes),
+                                 [10, 1000])
+    assert [r.n for r in summary.records] == [10, 1000]
+    out = tmp_path / "circle"
+    assert cli.main(["verify", "--config", str(ROOT / "configs" / "circle.json"),
+                     "--out", str(out)]) == 0
+    assert (out / "verdict.json").is_file()
 
 
 def test_cutproject_floors_only_through_the_walk_and_exact_real():
@@ -315,14 +348,16 @@ def test_the_run_path_reaches_no_scalar_oracle():
     them.  The oracle is not public, and every name bench/ imports or
     traces still resolves on its module."""
     refused = set(ORACLE) | {"reduce_to_fundamental", "scale"}
-    guarded = {"brs.py": {"discrepancy_series", "_lift_totals", "_walk_arc"},
+    guarded = {"brs.py": {"discrepancy_series", "_Discrepancy", "_arcs",
+                          "_arc_walk", "_arc_hit", "_chain", "_lift_totals",
+                          "_walk_arc"},
                "cutproject.py": {"_window_counts", "correspondence_check"},
                "cli.py": None}
     for module, names in guarded.items():
         tree = ast.parse((ROOT / "src" / "adelicbrs" / module)
                          .read_text(encoding="utf-8"))
         functions = [node for node in tree.body
-                     if isinstance(node, ast.FunctionDef)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                      and (node.name in names if names
                           else node.name.startswith("cmd_"))]
         assert len(functions) == len(names or functions) > 0, module
