@@ -492,14 +492,6 @@ def _chain(const: int, arcs: Sequence[tuple], n: int) -> Iterator[int]:
     return totals
 
 
-def _lift_totals(terms: Sequence[tuple[AdelicBox, int]], alpha: AdeleVector,
-                 x0: SolenoidPoint, n: int) -> Iterator[int]:
-    """Yield, for k = 0, ..., n-1, the weighted lift count
-    sum_i w_i * box_lift_count(box_i, x0 + k*alpha) over the terms: the
-    _walk_arc chain over _arcs(terms, alpha, x0)."""
-    return _chain(*_arcs(terms, alpha, x0), n)
-
-
 class _Discrepancy:
     """The fixed point of one discrepancy series; see discrepancy_series.
     The walk keeps D_N * vc * 2**P as an integer acc, in which unit is a

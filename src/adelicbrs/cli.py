@@ -48,11 +48,11 @@ DEFAULT_CHECKPOINTS = [100, 1000, 10000, 100000]
 MAX_FACTORED = 10**12
 # most bits of any integer a config gives (a numerator or denominator, an
 # exact-real component, a count or checkpoint), and of the products that
-# grow with |Q|: the reduced index denominator (prod Q)**ell of gamma and of
-# weyl_gamma, and the products of alpha_padic's p-power denominators and of
-# the control-box ball measures p**|e|.  Outputs print products of a few of
-# these, and Python prints no integer above 4300 digits: with all of them at
-# the cap over Q = {2}, {2, 3} or 2..29, the longest has 2112 digits (0.3 s)
+# grow with |Q|: the reduced index denominator (prod Q)**ell of gamma, and
+# the products of alpha_padic's p-power denominators and of the control-box
+# ball measures p**|e|.  Outputs print products of a few of these, and
+# Python prints no integer above 4300 digits: with all of them at the cap
+# over Q = {2}, {2, 3} or 2..29, the longest has 2112 digits (0.3 s)
 MAX_BITS = 1000
 # longest orbit walk verify runs (its last checkpoint): about 1.3 s on
 # configs/two_primes.json at about 0.13 us per step.  weyl is closed form and
@@ -60,7 +60,7 @@ MAX_BITS = 1000
 MAX_WALK = 10**7
 # most candidate volumes (bound+1)**(|Q|+1) * (2*bound+1) volumes enumerates,
 # and most lattice candidates cutproject counts: on the shipped configs
-# volumes takes at most about 16 s and 100 MB, cutproject about 0.25 s and
+# volumes takes at most about 16 s and 100 MB, cutproject about 0.15 s and
 # 26 MB
 MAX_VOLUMES = 10**5
 MAX_CUTPROJECT = 10**5
@@ -241,9 +241,9 @@ def _require_field(value: ExactReal, alpha: AdeleVector,
 
 
 _CONFIG_KEYS = frozenset({
-    "alpha_real", "alpha_padic", "gamma", "infinite_q", "weyl_gamma",
-    "x0_real", "x0_padic", "checkpoints", "n", "seed", "bound",
-    "cutproject_n", "control_box", "out"})
+    "alpha_real", "alpha_padic", "gamma", "infinite_q", "x0_real",
+    "x0_padic", "checkpoints", "n", "seed", "bound", "cutproject_n",
+    "control_box", "out"})
 _CONTROL_BOX_KEYS = frozenset({"real_lo", "real_hi", "balls"})
 _EXACT_REAL_KEYS = frozenset({"a", "b", "c", "d"})
 _BATCH_KEYS = frozenset({"experiments", "out"})
@@ -260,16 +260,15 @@ def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
 
 class ExperimentConfig:
     __slots__ = ("alpha", "gamma", "n", "checkpoints", "x0", "seed", "bound",
-                 "cutproject_n", "weyl_gamma", "control_box")
+                 "cutproject_n", "control_box")
 
     def __init__(self, alpha: AdeleVector, gamma: Fraction, n: int,
                  checkpoints: list[int], x0: AdeleVector, seed: int,
-                 bound: int, cutproject_n: int, weyl_gamma: Fraction,
-                 control_box: AdelicBox | None):
+                 bound: int, cutproject_n: int, control_box: AdelicBox | None):
         self.alpha, self.gamma, self.n = alpha, gamma, n
         self.checkpoints, self.x0, self.seed = checkpoints, x0, seed
         self.bound, self.cutproject_n = bound, cutproject_n
-        self.weyl_gamma, self.control_box = weyl_gamma, control_box
+        self.control_box = control_box
 
 
 def load_config(data: dict) -> ExperimentConfig:
@@ -297,16 +296,13 @@ def load_config(data: dict) -> ExperimentConfig:
         alpha = AdeleVector(PrimeSet(parts), alpha_real, parts)
     if not is_minimal(alpha):
         raise ConfigError("alpha_real must be irrational (minimal rotation)")
-    weyl_gamma = parse_rational(data.get("weyl_gamma", data.get("gamma", 0)))
     _require_lattice(gamma, alpha, "gamma")
-    _require_lattice(weyl_gamma, alpha, "weyl_gamma")
     _require_product((p ** max(0, -padic_valuation(x, p))
                       for p, x in alpha.parts),
                      "the product of alpha_padic's p-power denominators")
-    for g, what in ((gamma, "gamma"), (weyl_gamma, "weyl_gamma")):
-        ell = _reduced_exponent(g, alpha.primes)
-        _require_product((p for _ in range(ell) for p in alpha.primes),
-                         f"{what}'s reduced denominator (prod Q)**{ell}")
+    ell = _reduced_exponent(gamma, alpha.primes)
+    _require_product((p for _ in range(ell) for p in alpha.primes),
+                     f"gamma's reduced denominator (prod Q)**{ell}")
     x0_real = _require_field(parse_exact_real(data.get("x0_real", 0)),
                              alpha, "x0_real")
     x0_padic = _parse_prime_map(data.get("x0_padic"), "x0_padic",
@@ -360,8 +356,7 @@ def load_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         alpha=alpha, gamma=gamma, n=n, checkpoints=list(checkpoints),
         x0=AdeleVector(alpha.primes, x0_real, x0_padic), seed=seed,
-        bound=bound, cutproject_n=cut_n, weyl_gamma=weyl_gamma,
-        control_box=control_box)
+        bound=bound, cutproject_n=cut_n, control_box=control_box)
 
 
 def starting_point(cfg: ExperimentConfig):
@@ -597,7 +592,7 @@ def cmd_cutproject(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
 
 
 def cmd_weyl(cfg: ExperimentConfig, svg: bool) -> tuple[dict, dict]:
-    gamma = cfg.weyl_gamma
+    gamma = cfg.gamma
     phase = character_phase(gamma, cfg.alpha)
     norm = min(phase, 1 - phase)
     rows = []

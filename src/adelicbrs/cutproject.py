@@ -17,8 +17,9 @@ a point rotating on the unit circle lies below the fractional part of
 W; one brs._walk_arc stage walks it, on the fixed-point arc
 (brs._arc_walk) that verify walks for each box too.
 window_multiplicity counts one gamma1 from scratch and is the tests'
-oracle; correspondence_check walks gamma1 = 0..n-1 and compares those
-counts with the lift counts behind verify.
+oracle; correspondence_check walks gamma1 = 0..n-1 for every box and
+compares those counts, list by list, with the lift counts brs walks
+(brs._chain over brs._arcs).
 """
 
 from __future__ import annotations
@@ -92,18 +93,16 @@ def correspondence_check(boxset: WeightedBoxSet, alpha: AdeleVector,
                          n: int) -> tuple[list[int], bool]:
     """Count, for gamma1 = 0..n-1 and every box of the set, the
     cut-and-project multiplicity and compare it with the lift count brs
-    computes at the projected orbit point, in one pass.
+    computes at the projected orbit point.
 
-    Returns the primary (first) box's multiplicity at each gamma1 (empty
-    for an empty set), and whether the two counts agree everywhere.
+    Each box's lift counts are walked by brs._chain over its brs._arcs,
+    and its window counts by _window_counts; the two lists must be equal
+    for every box.  Returns the primary (first) box's window counts
+    (empty for an empty set), and whether they agree.
     """
-    boxes = [box for box, _ in boxset.terms]
     x0 = zero_point(alpha.primes)
-    lifts = zip(*(brs._lift_totals([(box, 1)], alpha, x0, n)
-                  for box in boxes))
-    windows = zip(*(_window_counts(box, alpha, n) for box in boxes))
-    primary, agrees = [], True
-    for terms, counts in zip(lifts, windows):
-        agrees = agrees and terms == counts
-        primary.append(counts[0])
-    return primary, agrees
+    lifts = [list(brs._chain(*brs._arcs([(box, 1)], alpha, x0), n))
+             for box, _ in boxset.terms]
+    windows = [list(_window_counts(box, alpha, n))
+               for box, _ in boxset.terms]
+    return (windows[0] if windows else []), lifts == windows

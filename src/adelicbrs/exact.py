@@ -297,10 +297,6 @@ class ExactReal:
         return self
 
     @classmethod
-    def sqrt(cls, d: int) -> "ExactReal":
-        return cls(0, 1, 1, d)
-
-    @classmethod
     def from_rational(cls, x: RationalLike) -> "ExactReal":
         x = Fraction(x)
         return cls._reduced(x.numerator, 0, x.denominator, 0)

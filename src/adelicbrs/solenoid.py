@@ -76,11 +76,6 @@ class AdeleVector:
             self.primes, self.real + other.real,
             {p: x + y for (p, x), (_, y) in zip(self.parts, other.parts)})
 
-    def scale(self, k: RationalLike) -> "AdeleVector":
-        k = Fraction(k)
-        return AdeleVector(self.primes, self.real * k,
-                           {p: x * k for p, x in self.parts})
-
     def __eq__(self, other):
         if not isinstance(other, AdeleVector):
             return NotImplemented

@@ -159,6 +159,11 @@ def diagonal(gamma, primes) -> AdeleVector:
                        {p: gamma for p in primes})
 
 
+def scaled(v: AdeleVector, k) -> AdeleVector:
+    k = Fraction(k)
+    return AdeleVector(v.primes, v.real * k, {p: x * k for p, x in v.parts})
+
+
 def random_gamma(rng: Random, primes) -> Fraction:
     den = 1
     for p in primes:

@@ -21,10 +21,11 @@ from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
                        discrepancy_series, padic_abs, reduce_to_finite,
                        reduce_to_fundamental, weyl_sum, zero_point)
 from adelicbrs.brs import multiplicity
-from conftest import diagonal, random_alpha, random_gamma, with_extra_primes
+from conftest import (diagonal, random_alpha, random_gamma, scaled,
+                      with_extra_primes)
 
 P2 = PrimeSet([2])
-SQRT2 = ExactReal.sqrt(2)
+SQRT2 = ExactReal(0, 1, 1, 2)
 ALPHA = AdeleVector(P2, SQRT2, {2: Fraction(1, 2)})
 CIRCLE = AdeleVector(PrimeSet(), SQRT2, {})
 
@@ -132,7 +133,7 @@ def test_criterion_6_exact_identity_suites():
     # characters: additive in the index, trivial on the lattice
     for _ in range(1000):
         alpha = random_alpha(rng)
-        x, _ = reduce_to_fundamental(alpha.scale(rng.randint(-4, 4)))
+        x, _ = reduce_to_fundamental(scaled(alpha, rng.randint(-4, 4)))
         g1 = random_gamma(rng, alpha.primes)
         g2 = random_gamma(rng, alpha.primes)
         lhs = character_phase(g1 + g2, x)

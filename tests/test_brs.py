@@ -19,10 +19,10 @@ from adelicbrs import (AdelicBox, AdeleVector, ExactReal, FieldMismatch,
 from adelicbrs.brs import box_lift_count, count_coset_in_interval, multiplicity
 from adelicbrs.solenoid import orbit
 from conftest import (lift_count_oracle, multiplicity_oracle, random_alpha,
-                      random_gamma, val, with_extra_primes)
+                      random_gamma, scaled, val, with_extra_primes)
 
 P2 = PrimeSet([2])
-SQRT2 = ExactReal.sqrt(2)
+SQRT2 = ExactReal(0, 1, 1, 2)
 ALPHA = AdeleVector(P2, SQRT2, {2: Fraction(1, 2)})
 
 
@@ -342,7 +342,7 @@ def test_count_coset_in_interval_table():
     assert count_coset_in_interval(Fraction(0), Fraction(1), 0, 3) == 3
     assert count_coset_in_interval(Fraction(1, 2), Fraction(1, 3), 0, 1) == 3
     assert count_coset_in_interval(Fraction(0), Fraction(1), 0,
-                                   ExactReal.sqrt(2)) == 2
+                                   ExactReal(0, 1, 1, 2)) == 2
     assert count_coset_in_interval(Fraction(5), Fraction(2), 0, 2) == 1
     assert count_coset_in_interval(Fraction(0), Fraction(1), 2, 2) == 0
     with pytest.raises(ValueError):
@@ -390,7 +390,7 @@ def test_box_lift_count_against_enumeration():
         box = AdelicBox(lo, lo + ExactReal(rng.randint(1, 12), 0,
                                            rng.randint(1, 3)), balls)
         from adelicbrs import reduce_to_fundamental
-        x, _ = reduce_to_fundamental(alpha.scale(rng.randint(-5, 5)))
+        x, _ = reduce_to_fundamental(scaled(alpha, rng.randint(-5, 5)))
         assert box_lift_count(box, x) == lift_count_oracle(box, x)
 
 
@@ -611,7 +611,7 @@ def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
                  for k in (1, 2, 4) for delta in (1, 2, 4)]
         for terms in sets:  # every term has a constant count: no floor
             calls = _calls(monkeypatch)
-            got = list(brs._lift_totals(terms, alpha, x0, n))
+            got = list(brs._chain(*brs._arcs(terms, alpha, x0), n))
             assert calls == []
             assert got == _scalar_totals(terms, alpha, x0, n)
             assert len(set(got)) == 1
@@ -621,13 +621,13 @@ def test_lift_totals_constant_terms_match_scalar_route(monkeypatch, seed):
         box = _spaced_box(alpha, Fraction(1, 3), Fraction(5, 4), 2)
         mixed = [(box, 2), (full, -3), (full, 1)]
         calls = _calls(monkeypatch)
-        got = list(brs._lift_totals(mixed, alpha, x0, n))
+        got = list(brs._chain(*brs._arcs(mixed, alpha, x0), n))
         assert len(calls) <= 2
         assert all(b == 0 for _, b, _, _ in calls)
         assert got == _scalar_totals(mixed, alpha, x0, n)
         if alpha is ALPHA23:
             terms = [walked, (full, -3), (full, 2)]
-            assert list(brs._lift_totals(terms, alpha, x0, n)) == \
+            assert list(brs._chain(*brs._arcs(terms, alpha, x0), n)) == \
                 _scalar_totals(terms, alpha, x0, n)
 
 
@@ -711,7 +711,7 @@ def test_walk_decides_exact_ties_like_the_scalar_route(monkeypatch, guard):
     signs = _calls(monkeypatch, "_sign_a_plus_b_sqrt_d")
     n = 40
     x0 = zero_point(P2)
-    got = list(brs._lift_totals([(box, 1)], ALPHA, x0, n))
+    got = list(brs._chain(*brs._arcs([(box, 1)], ALPHA, x0), n))
     assert got == [box_lift_count(box, x) for x in orbit(ALPHA, x0, n)]
     assert got[2] == 1 and got[5] == 0
     # at guard 32 the exact route runs twice, at the integer and at the
@@ -850,7 +850,7 @@ def test_walk_threshold_margin_covers_the_width(monkeypatch):
         box = AdelicBox(lo, lo + s - s.floor() + rng.randint(0, 2),
                         (PAdicBall(2, Fraction(0), 0),))
         want = [box_lift_count(box, x) for x in orbit(ALPHA, x0, 4)]
-        assert list(brs._lift_totals([(box, 1)], ALPHA, x0, 4)) == want
+        assert list(brs._chain(*brs._arcs([(box, 1)], ALPHA, x0), 4)) == want
         assert list(cutproject._window_counts(box, ALPHA, 4)) == want
 
 
@@ -877,8 +877,8 @@ def test_walk_sizes_each_stage_for_its_own_box(monkeypatch, guard):
     n = 60
     x0 = _random_start(Random(7), ALPHA)
     want = _scalar_totals(terms, ALPHA, x0, n)
-    assert list(brs._lift_totals(terms, ALPHA, x0, n)) == want
-    assert list(brs._lift_totals(terms[::-1], ALPHA, x0, n)) == want
+    assert list(brs._chain(*brs._arcs(terms, ALPHA, x0), n)) == want
+    assert list(brs._chain(*brs._arcs(terms[::-1], ALPHA, x0), n)) == want
     if guard >= 0:
         assert len(set(shifts)) == 2
         assert max(shifts) - min(shifts) >= 30
@@ -887,8 +887,8 @@ def test_walk_sizes_each_stage_for_its_own_box(monkeypatch, guard):
 def test_walk_of_no_terms_yields_its_seed():
     # a set with no terms builds no stage: the chain is its seed alone
     x0 = zero_point(P2)
-    assert list(brs._lift_totals((), ALPHA, x0, 5)) == [0] * 5
-    assert list(brs._lift_totals((), ALPHA, x0, 0)) == []
+    assert list(brs._chain(*brs._arcs((), ALPHA, x0), 5)) == [0] * 5
+    assert list(brs._chain(*brs._arcs((), ALPHA, x0), 0)) == []
     empty = construct_brs(ALPHA, Fraction(0), 0)
     s = discrepancy_series(empty, ALPHA, x0, [1, 7, 40])
     assert [r.n for r in s.records] == [1, 7, 40]
@@ -910,7 +910,7 @@ def test_fixed_point_fallbacks_match_scalar_route(monkeypatch, guard, nprimes):
         alpha, boxset, x0, checkpoints = _random_case(seed, nprimes)
         goal = checkpoints[-1]
         steps += goal
-        assert list(brs._lift_totals(boxset.terms, alpha, x0, goal)) == \
+        assert list(brs._chain(*brs._arcs(boxset.terms, alpha, x0), goal)) == \
             _scalar_totals(boxset.terms, alpha, x0, goal)
         assert _kernel_series(boxset, alpha, x0, checkpoints) == \
             _scalar_series(boxset, alpha, x0, checkpoints)
@@ -963,7 +963,7 @@ def test_fixed_point_sizing_on_large_coefficients(guard, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brs, "_GUARD_BITS", guard)
         floors = _calls(mp)
-        assert list(brs._lift_totals(boxset.terms, alpha, x0, n)) == \
+        assert list(brs._chain(*brs._arcs(boxset.terms, alpha, x0), n)) == \
             _scalar_totals(boxset.terms, alpha, x0, n)
         assert _kernel_series(boxset, alpha, x0, [1, 7, n]) == \
             _scalar_series(boxset, alpha, x0, [1, 7, n])

@@ -169,7 +169,7 @@ def test_config_errors_exit_3(tmp_path, capsys):
             ("verify", dict(WORKED, control_box=dict(control, balls={},
                                                      real_hi=sqrt3))),
             ("construct", dict(WORKED, gamma="1/3")),
-            ("weyl", dict(WORKED, weyl_gamma="1/6")),
+            ("weyl", dict(WORKED, gamma="1/6")),
             # a flag that is not a JSON bool, exponents that are not
             # JSON integers, prime keys that are not canonical decimals
             ("construct", dict(WORKED, infinite_q="yes")),
@@ -695,7 +695,7 @@ def test_volumes_csv(tmp_path):
 
 
 def test_weyl_bound_holds(tmp_path):
-    code, out = run(tmp_path, "weyl", dict(WORKED, weyl_gamma="3/4"))
+    code, out = run(tmp_path, "weyl", dict(WORKED, gamma="3/4"))
     assert code == 0
     lines = (out / "weyl.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "N,abs_weyl_sum,bound,bound_exact,status"
@@ -752,6 +752,25 @@ def test_decimals_under_cancellation(tmp_path):
     assert 3.56e-27 < float(weyl) < 3.58e-27
 
 
+def test_weyl_refuses_a_second_character_index_key(tmp_path, capsys):
+    # gamma indexes the Weyl average as it indexes the construction
+    capsys.readouterr()
+    code, out = run(tmp_path, "weyl", dict(WORKED, weyl_gamma="3/4"))
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "config error: unknown key 'weyl_gamma'\n"
+    assert not out.exists()
+
+
+def test_weyl_index_joins_the_infinite_q_prime_set(tmp_path):
+    # gamma's prime 3 joins alpha's prime set {2}, as it does for construct
+    config = dict(WORKED, infinite_q=True, gamma="1/3")
+    assert config["alpha_padic"] == {"2": "1/2"}
+    code, out = run(tmp_path, "weyl", config)
+    assert code == 0
+    assert read_verdict(out)["gamma"] == "1/3"
+
+
 def test_weyl_trivial_gamma_exits_2(tmp_path):
     code, _ = run(tmp_path, "weyl", dict(WORKED, gamma="0"))
     assert code == 2
@@ -770,13 +789,13 @@ def test_cutproject_correspondence(tmp_path):
 
 
 def test_cutproject_exits_1_on_a_bumped_lift_count(tmp_path, monkeypatch):
-    lift_totals = cli.cutproject.brs._lift_totals
+    chain = cli.cutproject.brs._chain
 
     def bumped(*args):
-        for k, total in enumerate(lift_totals(*args)):
+        for k, total in enumerate(chain(*args)):
             yield total + (k == 7)
 
-    monkeypatch.setattr(cli.cutproject.brs, "_lift_totals", bumped)
+    monkeypatch.setattr(cli.cutproject.brs, "_chain", bumped)
     code, out = run(tmp_path, "cutproject", dict(WORKED, cutproject_n=20))
     assert code == 1
     v = read_verdict(out)

@@ -6,17 +6,18 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from adelicbrs import (AdelicBox, AdeleVector, ExactReal, PAdicBall,
-                       PrimeSet, WeightedBoxSet, brs, choose_n,
+                       PrimeSet, WeightedBoxSet, brs, choose_n, construct_brs,
                        construct_witness, correspondence_check, zero_point)
 from adelicbrs.brs import box_lift_count
 from adelicbrs.cutproject import _window_counts, window_multiplicity
 from adelicbrs.errors import FieldMismatch
 from adelicbrs.exact import crt_coset
 from adelicbrs.solenoid import orbit
-from conftest import lift_count_oracle, random_alpha, random_gamma, val
+from conftest import (lift_count_oracle, random_alpha, random_gamma, scaled,
+                      val)
 
 P2 = PrimeSet([2])
-SQRT2 = ExactReal.sqrt(2)
+SQRT2 = ExactReal(0, 1, 1, 2)
 ALPHA = AdeleVector(P2, SQRT2, {2: Fraction(1, 2)})
 
 
@@ -48,7 +49,7 @@ def _count_direct(box, alpha, gamma1):
     role of the point; the real edge and every ball are checked per
     candidate there.
     """
-    return lift_count_oracle(box, alpha.scale(Fraction(gamma1)))
+    return lift_count_oracle(box, scaled(alpha, Fraction(gamma1)))
 
 
 def test_correspondence_points_scan_candidates():
@@ -177,7 +178,7 @@ def test_window_multiplicity_rejects_mixed_fields():
     box = AdelicBox(ExactReal(0, 1, 2, 3), ExactReal(2),
                     (PAdicBall(2, Fraction(0), -1),))
     # a window in another field than alpha is refused whatever gamma1 is,
-    # as _lift_totals refuses a box in another field than alpha
+    # as brs._arcs refuses a box in another field than alpha
     for gamma1 in (1, 0):
         with pytest.raises(FieldMismatch):
             window_multiplicity(box, ALPHA, gamma1)
@@ -272,14 +273,38 @@ def test_correspondence_check_catches_a_bumped_lift_count(monkeypatch):
     w = construct_witness(ALPHA, Fraction(1, 2), 1)
     points, agrees = correspondence_check(w.result, ALPHA, 10)
     assert agrees is True
-    lift_totals = brs._lift_totals
+    chain = brs._chain
 
     def bumped(*args):
-        for k, total in enumerate(lift_totals(*args)):
+        for k, total in enumerate(chain(*args)):
             yield total + (k == 3)
 
-    monkeypatch.setattr(brs, "_lift_totals", bumped)
+    monkeypatch.setattr(brs, "_chain", bumped)
     bumped_points, agrees = correspondence_check(w.result, ALPHA, 10)
     assert agrees is False
     # the points come from the window counts, not from brs
+    assert bumped_points == points
+
+
+def test_correspondence_check_compares_every_box(monkeypatch):
+    # the two_primes construction: one walked box, then the full domain
+    # with weight -3, a box with no walked arc
+    alpha = AdeleVector(PrimeSet([2, 3]), ExactReal(1, 1, 2, 5),
+                        {2: Fraction(3, 4), 3: Fraction(2, 3)})
+    boxset = construct_brs(alpha, Fraction(5, 6), 2)
+    (box, _), (full, weight) = boxset.terms
+    x0 = zero_point(alpha.primes)
+    assert len(brs._arcs([(box, 1)], alpha, x0)[1]) == 1
+    assert weight == -3 and brs._arcs([(full, 1)], alpha, x0)[1] == []
+    points, agrees = correspondence_check(boxset, alpha, 10)
+    assert agrees is True
+    chain = brs._chain
+
+    def bumped(const, arcs, n):
+        for k, total in enumerate(chain(const, arcs, n)):
+            yield total + (not arcs and k == 3)
+
+    monkeypatch.setattr(brs, "_chain", bumped)
+    bumped_points, agrees = correspondence_check(boxset, alpha, 10)
+    assert agrees is False
     assert bumped_points == points

@@ -258,15 +258,15 @@ def test_exact_real_rejects_bad_input():
 
 
 def test_exact_real_predicates():
-    r2 = ExactReal.sqrt(2)
+    r2 = ExactReal(0, 1, 1, 2)
     assert not r2.is_rational()
     assert ExactReal(4, 0, 2).is_integer()
 
 
 def test_exact_real_signs_close_values():
     # 99/70 is a hair above sqrt(2); floats would need care here
-    assert (ExactReal(99, 0, 70) - ExactReal.sqrt(2)).sign() == 1
-    assert (ExactReal(-99, 0, 70) + ExactReal.sqrt(2)).sign() == -1
+    assert (ExactReal(99, 0, 70) - ExactReal(0, 1, 1, 2)).sign() == 1
+    assert (ExactReal(-99, 0, 70) + ExactReal(0, 1, 1, 2)).sign() == -1
     # 1/2 + 1/2*sqrt(5) vs 1.618...: golden ratio squared = itself + 1
     phi = ExactReal(1, 1, 2, 5)
     assert phi * phi == phi + 1
@@ -290,7 +290,7 @@ def test_exact_real_field_axioms_seeded():
 
 
 def test_exact_real_mixed_rational_arithmetic():
-    r2 = ExactReal.sqrt(2)
+    r2 = ExactReal(0, 1, 1, 2)
     assert r2 + Fraction(1, 2) - Fraction(1, 2) == r2
     assert 2 * r2 == r2 * 2 == r2 + r2
     assert (1 - r2).sign() < 0
@@ -298,18 +298,18 @@ def test_exact_real_mixed_rational_arithmetic():
 
 def test_exact_real_field_mismatch():
     with pytest.raises(FieldMismatch):
-        ExactReal.sqrt(2) + ExactReal.sqrt(3)
+        ExactReal(0, 1, 1, 2) + ExactReal(0, 1, 1, 3)
     with pytest.raises(FieldMismatch):
-        ExactReal.sqrt(2) * ExactReal.sqrt(3)
+        ExactReal(0, 1, 1, 2) * ExactReal(0, 1, 1, 3)
     # sqrt(2)*sqrt(8) = 4 is rational, so it then mixes fine
-    assert ExactReal.sqrt(2) * ExactReal.sqrt(8) + ExactReal.sqrt(5) \
-        == ExactReal(4, 1, 1, 5)
+    assert ExactReal(0, 1, 1, 2) * ExactReal(0, 1, 1, 8) \
+        + ExactReal(0, 1, 1, 5) == ExactReal(4, 1, 1, 5)
 
 
 def test_exact_real_floor_table():
-    assert ExactReal.sqrt(2).floor() == 1
-    assert (-ExactReal.sqrt(2)).floor() == -2
-    assert (ExactReal(5, 0, 2) - ExactReal.sqrt(2)).floor() == 1
+    assert ExactReal(0, 1, 1, 2).floor() == 1
+    assert (-ExactReal(0, 1, 1, 2)).floor() == -2
+    assert (ExactReal(5, 0, 2) - ExactReal(0, 1, 1, 2)).floor() == 1
     assert ExactReal(1, 1, 2, 5).floor() == 1
     assert ExactReal(7, 0, 2).floor() == 3
     assert ExactReal(-7, 0, 2).floor() == -4
@@ -369,29 +369,29 @@ def test_floor_matches_bisection(a, b, c, d):
 def test_floor_ceil_module_functions():
     assert ceil_exact(Fraction(7, 2)) == 4
     assert ceil_exact(5) == 5
-    assert ceil_exact(ExactReal.sqrt(2)) == 2
+    assert ceil_exact(ExactReal(0, 1, 1, 2)) == 2
     assert ceil_exact(ExactReal(2)) == 2
 
 
 def test_exact_real_ordering_and_hash():
-    xs = [ExactReal.sqrt(2), ExactReal(1), ExactReal(3, 0, 2),
+    xs = [ExactReal(0, 1, 1, 2), ExactReal(1), ExactReal(3, 0, 2),
           ExactReal(0, -1, 1, 2), ExactReal(0)]
     assert sorted(xs) == [ExactReal(0, -1, 1, 2), ExactReal(0), ExactReal(1),
-                          ExactReal.sqrt(2), ExactReal(3, 0, 2)]
+                          ExactReal(0, 1, 1, 2), ExactReal(3, 0, 2)]
     assert hash(ExactReal(3, 0, 2)) == hash(Fraction(3, 2))
-    assert len({ExactReal.sqrt(2), ExactReal(0, 2, 2, 2)}) == 1
+    assert len({ExactReal(0, 1, 1, 2), ExactReal(0, 2, 2, 2)}) == 1
 
 
 def test_exact_real_strings():
-    assert ExactReal.sqrt(2).exact_str() == "sqrt(2)"
+    assert ExactReal(0, 1, 1, 2).exact_str() == "sqrt(2)"
     assert (ExactReal(5, -2, 4, 2)).exact_str() == "5/4 - (1/2)*sqrt(2)"
     assert ExactReal(-3, 0, 2).exact_str() == "-3/2"
     assert ExactReal(0, -1, 1, 3).exact_str() == "-sqrt(3)"
     assert ExactReal(1, 2, 1, 5).exact_str() == "1 + 2*sqrt(5)"
-    s = ExactReal.sqrt(2).decimal_str()
+    s = ExactReal(0, 1, 1, 2).decimal_str()
     assert s.startswith("1.4142135623730950488016887242")
     assert ExactReal(0).decimal_str() == "0"
-    assert abs(ExactReal.sqrt(2).to_float() - math.sqrt(2)) < 1e-15
+    assert abs(ExactReal(0, 1, 1, 2).to_float() - math.sqrt(2)) < 1e-15
 
 
 def _convergents(d: int, digits: int):

@@ -278,19 +278,20 @@ def test_lift_totals_walks_the_unreduced_orbit():
     """brs._arcs splits the terms into a constant total and one arc per
     walked box, at x0 + k*alpha itself: it reduces no orbit point (no
     fractional_sum, no reduce_to_fundamental), and it floors nothing
-    itself.  brs._lift_totals is the chain of brs._walk_arc stages over
-    it (brs._chain).  A stage, and the one-arc loop of
-    brs.discrepancy_series, rotate the point by an add and a compare,
-    with no divmod, and take the exact route through brs._arc_hit, which
-    holds the one call of the exact floor besides brs._fixed_point's
-    floor of sqrt(d) * 2**P.  There is no walk over many arcs at once
-    (no _walk_arcs)."""
-    for name in ("_arcs", "_chain", "_lift_totals"):
+    itself.  brs._chain chains brs._walk_arc stages over it, and
+    cutproject.correspondence_check walks each box's lift counts so.  A
+    stage, and the one-arc loop of brs.discrepancy_series, rotate the
+    point by an add and a compare, with no divmod, and take the exact
+    route through brs._arc_hit, which holds the one call of the exact
+    floor besides brs._fixed_point's floor of sqrt(d) * 2**P.  There is
+    no walk over many arcs at once (no _walk_arcs)."""
+    for name in ("_arcs", "_chain"):
         calls = _calls("brs.py", name)
         assert "fractional_sum" not in calls
         assert "reduce_to_fundamental" not in calls
         assert "_floor_a_plus_b_sqrt_d" not in calls
-    assert {"_arcs", "_chain"} <= set(_calls("brs.py", "_lift_totals"))
+    assert {"_arcs", "_chain"} <= set(
+        _calls("cutproject.py", "correspondence_check"))
     assert "_walk_arc" in _calls("brs.py", "_chain")
     assert not hasattr(brs, "_walk_arcs")
     for name in ("_walk_arc", "discrepancy_series"):
@@ -313,7 +314,8 @@ def test_one_arc_series_walks_no_chain(tmp_path, monkeypatch):
         raise AssertionError("a _walk_arc stage ran")
 
     monkeypatch.setattr(brs, "_walk_arc", refused)
-    alpha = AdeleVector(PrimeSet([2]), ExactReal.sqrt(2), {2: Fraction(1, 2)})
+    alpha = AdeleVector(PrimeSet([2]), ExactReal(0, 1, 1, 2),
+                        {2: Fraction(1, 2)})
     boxset = construct_brs(alpha, Fraction(1, 2), 1)
     summary = discrepancy_series(boxset, alpha, zero_point(alpha.primes),
                                  [10, 1000])
@@ -341,6 +343,15 @@ ORACLE = ("rotate", "orbit", "box_lift_count", "multiplicity",
           "count_coset_in_interval", "window_multiplicity", "ceil_exact")
 
 
+def _traced() -> list[tuple[str, str]]:
+    """(module, dotted name) of every entry in bench/tracer.py's tables."""
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
+    return [(module, attr) for node in tracer.body
+            if isinstance(node, ast.Assign) and
+            getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")
+            for module, attr, _ in ast.literal_eval(node.value)]
+
+
 def test_the_run_path_reaches_no_scalar_oracle():
     """The walk, the series, the cut-and-project pass and every command
     name no oracle function, reduce no orbit point and scale no vector;
@@ -349,8 +360,7 @@ def test_the_run_path_reaches_no_scalar_oracle():
     traces still resolves on its module."""
     refused = set(ORACLE) | {"reduce_to_fundamental", "scale"}
     guarded = {"brs.py": {"discrepancy_series", "_Discrepancy", "_arcs",
-                          "_arc_walk", "_arc_hit", "_chain", "_lift_totals",
-                          "_walk_arc"},
+                          "_arc_walk", "_arc_hit", "_chain", "_walk_arc"},
                "cutproject.py": {"_window_counts", "correspondence_check"},
                "cli.py": None}
     for module, names in guarded.items():
@@ -367,11 +377,7 @@ def test_the_run_path_reaches_no_scalar_oracle():
             assert not used & refused, (module, function.name)
     assert "reduce_to_fundamental" in _calls("cli.py", "starting_point")
     assert not set(adelicbrs.__all__) & set(ORACLE)
-    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
-    traced = [(module, attr) for node in tracer.body
-              if isinstance(node, ast.Assign) and
-              getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")
-              for module, attr, _ in ast.literal_eval(node.value)]
+    traced = _traced()
     checks = ast.parse((ROOT / "bench" / "checks.py").read_text("utf-8"))
     imported = [(node.module, alias.name) for node in ast.walk(checks)
                 if isinstance(node, ast.ImportFrom)
@@ -384,3 +390,32 @@ def test_the_run_path_reaches_no_scalar_oracle():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_every_public_method_has_a_caller():
+    """Every public method a package class body defines is referenced as
+    an attribute in src/adelicbrs or bench/, where a dotted name in
+    bench/tracer.py's tables counts too, so no public API is kept for
+    the tests alone.  A method that overrides one of a base class, as
+    cli._Parser.error does, is called by that base class."""
+    referenced = {part for _, attr in _traced() for part in attr.split(".")}
+    for path in [*(ROOT / "src" / "adelicbrs").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        referenced.update(
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute))
+    unreferenced = []
+    for path in sorted((ROOT / "src" / "adelicbrs").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            module = importlib.import_module(f"adelicbrs.{path.stem}")
+            bases = getattr(module, top.name).__mro__[1:]
+            unreferenced.extend(
+                f"{top.name}.{node.name}" for node in top.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and node.name not in referenced
+                and not any(node.name in vars(base) for base in bases))
+    assert unreferenced == []
